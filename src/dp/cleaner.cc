@@ -142,7 +142,36 @@ Status ClassifySupervised(const KnowledgeBase& kb, const FeatureExtractor& featu
       out->push_back(detection);
     }
   }
+  span.AddTag("detections", static_cast<uint64_t>(out->size()));
   return Status::OK();
+}
+
+/// Unsupervised classification: concepts fan out across the pool and their
+/// detections are concatenated in scope order, so the detection order (and
+/// with it the adjudication order) is the serial loop's.
+std::vector<Detection> Classify(const KnowledgeBase& kb, const FeatureExtractor& features,
+                                const DpDetector& detector,
+                                const std::vector<ConceptId>& scope) {
+  ScopedSpan span(&GlobalTrace(), "score.batch");
+  span.AddTag("concepts", static_cast<uint64_t>(scope.size()));
+  std::vector<std::vector<Detection>> per_concept =
+      ParallelMap<std::vector<Detection>>(scope.size(), [&](size_t i) {
+        ConceptId c = scope[i];
+        std::vector<Detection> found;
+        for (InstanceId e : kb.LiveInstancesOf(c)) {
+          DpClass type = detector.Classify(c, features.Extract(c, e));
+          if (type == DpClass::kAccidentalDP || type == DpClass::kIntentionalDP) {
+            found.push_back(Detection{IsAPair{c, e}, type});
+          }
+        }
+        return found;
+      });
+  std::vector<Detection> detections;
+  for (const std::vector<Detection>& found : per_concept) {
+    detections.insert(detections.end(), found.begin(), found.end());
+  }
+  span.AddTag("detections", static_cast<uint64_t>(detections.size()));
+  return detections;
 }
 
 }  // namespace
@@ -274,15 +303,7 @@ Result<CleaningReport> DpCleaner::CleanImpl(KnowledgeBase* kb,
                                              supervisor, &detections);
       if (!classified.ok()) return classified;
     } else {
-      for (ConceptId c : live_scope) {
-        for (InstanceId e : kb->LiveInstancesOf(c)) {
-          FeatureVector f = features.Extract(c, e);
-          DpClass type = detector->Classify(c, f);
-          if (type == DpClass::kAccidentalDP || type == DpClass::kIntentionalDP) {
-            detections.push_back(Detection{IsAPair{c, e}, type});
-          }
-        }
-      }
+      detections = Classify(*kb, features, *detector, live_scope);
     }
 
     size_t rolled_this_round = 0;

@@ -346,9 +346,32 @@ std::unique_ptr<DpDetector> TrainForest(const std::vector<LabeledSample>& labele
   return std::make_unique<ForestDetector>(std::move(forest));
 }
 
+/// Stage instrumentation of the KPCA detectors. Metrics only, no spans:
+/// TrainDetector also runs on guarded attempt threads, and spans must come
+/// from serial drivers.
+struct LinearKpcaMetrics {
+  MetricsRegistry::Histogram kpca_fit_ns;
+  MetricsRegistry::Histogram manifold_ns;
+  MetricsRegistry::Histogram multitask_ns;
+  MetricsRegistry::Counter multitask_iterations;
+};
+
+LinearKpcaMetrics& GetLinearKpcaMetrics() {
+  static LinearKpcaMetrics metrics{
+      GlobalMetrics().RegisterHistogram("ml.kpca_fit_ns", LatencyBucketsNs()),
+      GlobalMetrics().RegisterHistogram("ml.manifold_ns", LatencyBucketsNs()),
+      GlobalMetrics().RegisterHistogram("ml.multitask_ns", LatencyBucketsNs()),
+      GlobalMetrics().RegisterCounter("ml.multitask_iterations")};
+  return metrics;
+}
+
+/// Rows per block when labeled rows are projected on the pool.
+constexpr size_t kProjectGrain = 16;
+
 std::unique_ptr<DpDetector> TrainLinearKpca(const TrainingData& data,
                                             const DetectorTrainOptions& options,
                                             bool multitask) {
+  LinearKpcaMetrics& metrics = GetLinearKpcaMetrics();
   Rng rng(options.seed);
 
   // 1. Build the pooled sample: every labeled row plus a per-concept sample
@@ -383,16 +406,29 @@ std::unique_ptr<DpDetector> TrainLinearKpca(const TrainingData& data,
 
   // 2. Kernel PCA representation (Sec. 3.3.1).
   KernelPca kpca;
-  if (!kpca.Fit(pool_matrix, options.kpca)) return nullptr;
+  auto start = std::chrono::steady_clock::now();
+  bool fitted = kpca.Fit(pool_matrix, options.kpca);
+  metrics.kpca_fit_ns.Observe(static_cast<double>(ElapsedNs(start)));
+  if (!fitted) return nullptr;
   size_t r = kpca.num_components();
 
   // 3. Shared manifold regularizer over the pooled representation (Eq. 17).
   Matrix pool_projected = kpca.TransformMatrix(pool_matrix);
+  start = std::chrono::steady_clock::now();
   Matrix a = BuildManifoldRegularizer(pool_projected, options.manifold);
+  metrics.manifold_ns.Observe(static_cast<double>(ElapsedNs(start)));
+  if (a.rows() != r) return nullptr;  // A local system was not positive definite.
 
-  // 4. One learning task per concept with labeled data.
+  // 4. One learning task per concept with labeled data. The calling thread
+  //    allocates every task; the pool projects the labeled rows into them.
   std::vector<LearningTask> tasks;
   std::vector<uint32_t> task_concepts;
+  struct Row {
+    const FeatureVector* features;
+    size_t task;
+    size_t row;
+  };
+  std::vector<Row> rows;
   for (const auto& concept_data : data) {
     std::vector<size_t> labeled_rows;
     for (size_t i = 0; i < concept_data.instances.size(); ++i) {
@@ -404,28 +440,38 @@ std::unique_ptr<DpDetector> TrainLinearKpca(const TrainingData& data,
     task.y = Matrix(labeled_rows.size(), 3);
     for (size_t row = 0; row < labeled_rows.size(); ++row) {
       size_t i = labeled_rows[row];
-      std::vector<double> raw(concept_data.features[i].begin(),
-                              concept_data.features[i].end());
-      std::vector<double> projected = kpca.Transform(raw);
-      for (size_t p = 0; p < r; ++p) task.xl(row, p) = projected[p];
       task.y(row, static_cast<size_t>(concept_data.seed_labels[i])) = 1.0;
+      rows.push_back(Row{&concept_data.features[i], tasks.size(), row});
     }
     tasks.push_back(std::move(task));
     task_concepts.push_back(concept_data.concept_id.value);
   }
   if (tasks.empty()) return nullptr;
-
-  // 5. Train (Eq. 15 independently, or Eq. 18 / Algorithm 1 jointly).
-  std::vector<Matrix> w;
-  if (multitask) {
-    MultiTaskResult result = TrainMultiTask(tasks, a, options.multitask);
-    w = std::move(result.w);
-  } else {
-    w.reserve(tasks.size());
-    for (const auto& task : tasks) {
-      w.push_back(TrainSemiSupervised(task, a, options.multitask));
+  BlockRange blocks = SplitBlocks(rows.size(), kProjectGrain);
+  Matrix scratch(blocks.blocks, kpca.scratch_size());
+  ParallelForBlocks(blocks, [&](size_t b, size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      kpca.ProjectInto(rows[t].features->data(), scratch.Row(b),
+                       tasks[rows[t].task].xl.Row(rows[t].row));
     }
+  });
+
+  // 5. Train (Eq. 15 independently, or Eq. 18 / Algorithm 1 jointly). A
+  //    system that is not positive definite fails the whole detector, which
+  //    sends a supervised caller down its fallback ladder.
+  MultiTaskResult trained;
+  if (multitask) {
+    start = std::chrono::steady_clock::now();
+    trained = TrainMultiTask(tasks, a, options.multitask);
+    metrics.multitask_ns.Observe(static_cast<double>(ElapsedNs(start)));
+    if (!trained.objective_trace.empty()) {
+      metrics.multitask_iterations.Add(trained.objective_trace.size() - 1);
+    }
+  } else {
+    trained = TrainSemiSupervisedTasks(tasks, a, options.multitask);
   }
+  if (!trained.status.ok()) return nullptr;
+  std::vector<Matrix>& w = trained.w;
 
   // 6. Mean classifier as the fallback for concepts without labels.
   Matrix fallback(r, 3);

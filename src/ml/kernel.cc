@@ -37,12 +37,4 @@ Matrix KernelMatrix(KernelType type, double gamma, const Matrix& x) {
   return k;
 }
 
-void KernelVector(KernelType type, double gamma, const Matrix& x, const double* q,
-                  std::vector<double>* out) {
-  out->resize(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    (*out)[i] = KernelValue(type, gamma, x.Row(i), q, x.cols());
-  }
-}
-
 }  // namespace semdrift

@@ -22,10 +22,6 @@ double KernelValue(KernelType type, double gamma, const double* x, const double*
 /// Full kernel matrix over the rows of `x` (rows are samples).
 Matrix KernelMatrix(KernelType type, double gamma, const Matrix& x);
 
-/// Kernel vector k(x_i, q) for every row x_i of `x` against query `q`.
-void KernelVector(KernelType type, double gamma, const Matrix& x, const double* q,
-                  std::vector<double>* out);
-
 }  // namespace semdrift
 
 #endif  // SEMDRIFT_ML_KERNEL_H_

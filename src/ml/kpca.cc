@@ -1,9 +1,23 @@
 #include "ml/kpca.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
+#include "obs/metrics.h"
+#include "util/thread_pool.h"
+
 namespace semdrift {
+
+namespace {
+
+/// Rows per block when TransformMatrix splits across the pool.
+constexpr size_t kProjectGrain = 16;
+/// Components projected together (a fixed trip count the compiler can
+/// vectorize).
+constexpr size_t kLanes = 8;
+
+}  // namespace
 
 bool KernelPca::Fit(const Matrix& x, const KpcaOptions& options) {
   options_ = options;
@@ -60,7 +74,22 @@ bool KernelPca::Fit(const Matrix& x, const KpcaOptions& options) {
     }
   }
 
+  k = Matrix();  // Only `centered` is needed from here on.
+
   EigenResult eigen = SymmetricEigen(centered);  // Ascending.
+  if (!eigen.converged) {
+    // A non-finite decomposition is a failed fit. A finite one stopped at
+    // the iteration cap, typically on a block of numerically zero
+    // eigenvalues that never meets QL's relative deflation test; it is
+    // used, because refusing it would change the detectors trained on
+    // such pools, and counted.
+    for (double v : eigen.values) {
+      if (!std::isfinite(v)) return false;
+    }
+    static MetricsRegistry::Counter unconverged =
+        GlobalMetrics().RegisterCounter("ml.eigen_unconverged");
+    unconverged.Add();
+  }
   double max_eigen = eigen.values.empty() ? 0.0 : eigen.values.back();
   if (max_eigen <= 0.0) return false;
   double floor = options_.eigen_floor * max_eigen;
@@ -90,46 +119,60 @@ bool KernelPca::Fit(const Matrix& x, const KpcaOptions& options) {
   return true;
 }
 
-std::vector<double> KernelPca::Standardize(const std::vector<double>& x) const {
-  std::vector<double> out(x.size());
-  for (size_t j = 0; j < x.size(); ++j) {
-    out[j] = (x[j] - feature_mean_[j]) / feature_std_[j];
+void KernelPca::ProjectInto(const double* x, double* scratch, double* out) const {
+  assert(fitted());
+  size_t n = train_.rows();
+  size_t d = train_.cols();
+  double* q = scratch + n;
+  for (size_t j = 0; j < d; ++j) q[j] = (x[j] - feature_mean_[j]) / feature_std_[j];
+  // Kernel vector against the training rows, centered against the
+  // training distribution.
+  double* k = scratch;
+  double k_mean = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = KernelValue(options_.kernel, gamma_, train_.Row(i), q, d);
+    k_mean += k[i];
   }
-  return out;
+  k_mean /= static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = k[i] - k_row_mean_[i] - k_mean + k_total_mean_;
+  }
+  // out_p = sum_i alpha_ip k_i, each out_p adding its terms in ascending i
+  // as a per-component loop would. Components go kLanes at a time with
+  // their sums in registers while i walks down the rows of alphas_.
+  size_t p = 0;
+  for (; p + kLanes <= num_components_; p += kLanes) {
+    double sum[kLanes] = {};
+    for (size_t i = 0; i < n; ++i) {
+      const double* alpha = alphas_.Row(i) + p;
+      double k_i = k[i];
+      for (size_t q = 0; q < kLanes; ++q) sum[q] += alpha[q] * k_i;
+    }
+    std::copy(sum, sum + kLanes, out + p);
+  }
+  for (; p < num_components_; ++p) {
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) sum += alphas_(i, p) * k[i];
+    out[p] = sum;
+  }
 }
 
 std::vector<double> KernelPca::Transform(const std::vector<double>& x) const {
-  assert(fitted());
   assert(x.size() == train_.cols());
-  std::vector<double> q = Standardize(x);
-  std::vector<double> k;
-  KernelVector(options_.kernel, gamma_, train_, q.data(), &k);
-  size_t n = train_.rows();
-  // Center against the training distribution.
-  double k_mean = 0.0;
-  for (double v : k) k_mean += v;
-  k_mean /= static_cast<double>(n);
-  std::vector<double> centered(n);
-  for (size_t i = 0; i < n; ++i) {
-    centered[i] = k[i] - k_row_mean_[i] - k_mean + k_total_mean_;
-  }
-  std::vector<double> out(num_components_, 0.0);
-  for (size_t p = 0; p < num_components_; ++p) {
-    double s = 0.0;
-    for (size_t i = 0; i < n; ++i) s += alphas_(i, p) * centered[i];
-    out[p] = s;
-  }
+  std::vector<double> scratch(scratch_size());
+  std::vector<double> out(num_components_);
+  ProjectInto(x.data(), scratch.data(), out.data());
   return out;
 }
 
 Matrix KernelPca::TransformMatrix(const Matrix& x) const {
+  assert(x.cols() == train_.cols());
   Matrix out(x.rows(), num_components_);
-  std::vector<double> point(x.cols());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    for (size_t j = 0; j < x.cols(); ++j) point[j] = x(i, j);
-    std::vector<double> projected = Transform(point);
-    for (size_t p = 0; p < num_components_; ++p) out(i, p) = projected[p];
-  }
+  BlockRange rows = SplitBlocks(x.rows(), kProjectGrain);
+  Matrix scratch(rows.blocks, scratch_size());
+  ParallelForBlocks(rows, [&](size_t b, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) ProjectInto(x.Row(i), scratch.Row(b), out.Row(i));
+  });
   return out;
 }
 

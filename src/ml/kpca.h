@@ -33,14 +33,26 @@ class KernelPca {
   KernelPca() = default;
 
   /// Fits on the rows of `x` (n samples by d features). Returns false when
-  /// the input is degenerate (fewer than 2 rows or no positive eigenvalue).
+  /// the input is degenerate (fewer than 2 rows, non-finite entries, no
+  /// positive eigenvalue) or the eigendecomposition came out non-finite.
   bool Fit(const Matrix& x, const KpcaOptions& options);
 
   /// Projects one d-dimensional point; returns an r-dimensional vector.
   std::vector<double> Transform(const std::vector<double>& x) const;
 
-  /// Projects every row of `x`, producing an (x.rows() by r) matrix.
+  /// Projects every row of `x`, producing an (x.rows() by r) matrix. Rows
+  /// are projected in parallel; each row is bit-identical to Transform().
   Matrix TransformMatrix(const Matrix& x) const;
+
+  /// Scratch values ProjectInto needs: the kernel vector plus the
+  /// standardized point.
+  size_t scratch_size() const { return train_.rows() + train_.cols(); }
+
+  /// Projects the d-dimensional point `x` into `out` (num_components()
+  /// values) without allocating; `scratch` holds scratch_size() values.
+  /// The shared routine behind Transform and TransformMatrix, for callers
+  /// that project rows on the thread pool with caller-owned buffers.
+  void ProjectInto(const double* x, double* scratch, double* out) const;
 
   size_t num_components() const { return num_components_; }
   bool fitted() const { return num_components_ > 0; }
@@ -49,9 +61,6 @@ class KernelPca {
   const std::vector<double>& eigenvalues() const { return eigenvalues_; }
 
  private:
-  /// Applies standardization to a copy of a raw point.
-  std::vector<double> Standardize(const std::vector<double>& x) const;
-
   KpcaOptions options_;
   double gamma_ = 1.0;
   size_t num_components_ = 0;

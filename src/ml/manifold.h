@@ -24,7 +24,11 @@ struct ManifoldOptions {
 /// Internally L_i is evaluated in its (k+1)-dimensional Woodbury form
 ///     L_i = lambda (H G_i H + lambda I)^(-1) - (1/(k+1)) 1 1^T,
 /// where G_i = X~_i^T X~_i, so cost is O(n (k^3 + k^2 r) + n^2 r) instead of
-/// O(n r^3).
+/// O(n r^3). The neighbor search and the L_i run on the thread pool; the
+/// result is bit-identical at any thread count.
+///
+/// Returns an empty (0 x 0) matrix when a local system is not positive
+/// definite (non-finite input), which callers must treat as a failed fit.
 Matrix BuildManifoldRegularizer(const Matrix& x, const ManifoldOptions& options);
 
 }  // namespace semdrift

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/thread_pool.h"
+
 namespace semdrift {
 
 Matrix Matrix::Identity(size_t n) {
@@ -96,9 +98,34 @@ bool Matrix::AllFinite() const {
 
 namespace {
 
-/// In-place Cholesky factorization: lower triangle of `a` becomes L with
-/// A = L L^T. Returns false when not positive definite.
-bool CholeskyFactor(Matrix* a) {
+/// Multiply-adds below which TransposeMultiplyInto stays on the calling
+/// thread (per block when split).
+constexpr size_t kProductGrainWork = size_t{1} << 18;
+
+}  // namespace
+
+void TransposeMultiplyInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  assert(a.rows() == b.rows() && out->rows() == a.cols() && out->cols() == b.cols());
+  size_t per_row = std::max<size_t>(a.rows() * b.cols(), 1);
+  BlockRange rows = SplitBlocks(a.cols(), (kProductGrainWork + per_row - 1) / per_row);
+  // Row k of a and b is streamed once per block; each out(i, j) still adds
+  // a(k, i) * b(k, j) in ascending k.
+  ParallelForBlocks(rows, [&](size_t, size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) std::fill(out->Row(i), out->Row(i) + b.cols(), 0.0);
+    for (size_t k = 0; k < a.rows(); ++k) {
+      const double* a_row = a.Row(k);
+      const double* b_row = b.Row(k);
+      for (size_t i = i0; i < i1; ++i) {
+        double av = a_row[i];
+        if (av == 0.0) continue;
+        double* out_row = out->Row(i);
+        for (size_t j = 0; j < b.cols(); ++j) out_row[j] += av * b_row[j];
+      }
+    }
+  });
+}
+
+bool CholeskyFactorInPlace(Matrix* a) {
   size_t n = a->rows();
   for (size_t j = 0; j < n; ++j) {
     double d = (*a)(j, j);
@@ -115,7 +142,6 @@ bool CholeskyFactor(Matrix* a) {
   return true;
 }
 
-/// Solves L L^T x = b given the factor produced by CholeskyFactor.
 void CholeskyBackSolve(const Matrix& l, const double* b, double* x) {
   size_t n = l.rows();
   // Forward: L y = b.
@@ -132,31 +158,13 @@ void CholeskyBackSolve(const Matrix& l, const double* b, double* x) {
   }
 }
 
-}  // namespace
-
 bool CholeskySolve(const Matrix& a, const std::vector<double>& b,
                    std::vector<double>* x) {
   assert(a.rows() == a.cols() && a.rows() == b.size());
   Matrix l = a;
-  if (!CholeskyFactor(&l)) return false;
+  if (!CholeskyFactorInPlace(&l)) return false;
   x->assign(b.size(), 0.0);
   CholeskyBackSolve(l, b.data(), x->data());
-  return true;
-}
-
-bool CholeskySolveMatrix(const Matrix& a, const Matrix& b, Matrix* x) {
-  assert(a.rows() == a.cols() && a.rows() == b.rows());
-  Matrix l = a;
-  if (!CholeskyFactor(&l)) return false;
-  size_t n = b.rows();
-  size_t m = b.cols();
-  *x = Matrix(n, m);
-  std::vector<double> column(n), solved(n);
-  for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < n; ++i) column[i] = b(i, j);
-    CholeskyBackSolve(l, column.data(), solved.data());
-    for (size_t i = 0; i < n; ++i) (*x)(i, j) = solved[i];
-  }
   return true;
 }
 
@@ -207,6 +215,157 @@ namespace {
 
 double Hypot(double a, double b) { return std::hypot(a, b); }
 
+/// Columns per chunk of the eigenvector accumulation and of the QL rotation
+/// kernel: fixed trip counts the compiler can vectorize.
+constexpr size_t kLanes = 8;
+constexpr size_t kRotationLanes = 32;
+/// Matrices below this order accumulate on the calling thread; above it,
+/// pool tasks take blocks of kAccumulateBlock columns.
+constexpr size_t kAccumulateParallelMin = 96;
+constexpr size_t kAccumulateBlock = 64;
+/// Rotations recorded before they are applied to the eigenvectors.
+constexpr size_t kRotationBuffer = 8192;
+/// Rotation batches below this many element updates stay on the calling
+/// thread; larger ones split into blocks of kRotationGrainColumns columns.
+constexpr size_t kRotationGrainWork = size_t{1} << 16;
+constexpr size_t kRotationGrainColumns = 64;
+
+/// Accumulation of the Householder transforms into z (the second half of
+/// tred2). The serial loop's step i updates columns [0, i) of rows [0, i):
+///     g_j = sum_{k<i} z(i,k) z(k,j);   z(k,j) -= g_j z(k,i)
+/// then zeroes row i and column i off the diagonal. Row i and column i are
+/// still the reduction's output when step i reads them (only later steps
+/// write them), and step i writes nothing outside column j that column j's
+/// arithmetic reads. So each column runs through every step on its own,
+/// reading rows and columns of the reduction's output from a packed copy,
+/// with the serial operations in the serial order; blocks of columns go to
+/// the pool in one dispatch.
+class TransformAccumulator {
+ public:
+  TransformAccumulator(Matrix* z, const std::vector<double>& h)
+      : z_(z), h_(h), n_(z->rows()), below_(Packed(n_)), above_(Packed(n_)) {
+    for (size_t i = 0; i < n_; ++i) {
+      for (size_t k = 0; k < i; ++k) {
+        below_[Offset(i) + k] = (*z)(i, k);
+        above_[Offset(i) + k] = (*z)(k, i);
+      }
+    }
+  }
+
+  void Run() {
+    size_t tasks = (n_ + kAccumulateBlock - 1) / kAccumulateBlock;
+    auto block = [&](size_t b) {
+      size_t b0 = b * kAccumulateBlock;
+      RunBlock(b0, std::min(n_, b0 + kAccumulateBlock));
+    };
+    if (n_ < kAccumulateParallelMin) {
+      for (size_t b = 0; b < tasks; ++b) block(b);
+    } else {
+      ParallelFor(tasks, block);
+    }
+  }
+
+ private:
+  /// Columns [b0, b1) through every step, kLanes columns at a time: a
+  /// chunk's slice of z stays in cache while the steps stream the packed
+  /// rows and columns past it. A task owns adjacent columns, so concurrent
+  /// tasks share a cache line of z only at their edges.
+  void RunBlock(size_t b0, size_t b1) {
+    for (size_t c0 = b0; c0 < b1; c0 += kLanes) {
+      size_t width = std::min(kLanes, b1 - c0);
+      size_t full = width == kLanes ? c0 + kLanes : n_;
+      // Steps inside the chunk's own column range (all steps of a narrow
+      // last chunk) touch only some of its columns: one column at a time.
+      for (size_t j = c0; j < c0 + width; ++j) {
+        StartColumn(j);
+        for (size_t i = j + 1; i < full; ++i) Step<1>(j, i);
+      }
+      for (size_t i = full; i < n_; ++i) Step<kLanes>(c0, i);
+    }
+  }
+
+  static size_t Offset(size_t i) { return i > 0 ? i * (i - 1) / 2 : 0; }
+  static std::vector<double> Packed(size_t n) {
+    return std::vector<double>(n > 0 ? n * (n - 1) / 2 : 0);
+  }
+
+  /// Step j's writes to column j itself: zero above the diagonal, 1 on it.
+  void StartColumn(size_t j) {
+    for (size_t k = 0; k < j; ++k) (*z_)(k, j) = 0.0;
+    (*z_)(j, j) = 1.0;
+  }
+
+  /// Step i on columns [c, c + W), all of them left of i.
+  template <size_t W>
+  void Step(size_t c, size_t i) {
+    if (h_[i] != 0.0) {
+      const double* row_i = below_.data() + Offset(i);
+      const double* col_i = above_.data() + Offset(i);
+      double g[W] = {};
+      for (size_t k = 0; k < i; ++k) {
+        double z_ik = row_i[k];
+        const double* z_k = z_->Row(k) + c;
+        for (size_t q = 0; q < W; ++q) g[q] += z_ik * z_k[q];
+      }
+      for (size_t k = 0; k < i; ++k) {
+        double z_ki = col_i[k];
+        double* z_k = z_->Row(k) + c;
+        for (size_t q = 0; q < W; ++q) z_k[q] -= g[q] * z_ki;
+      }
+    }
+    double* z_i = z_->Row(i) + c;
+    for (size_t q = 0; q < W; ++q) z_i[q] = 0.0;
+  }
+
+  Matrix* z_;
+  const std::vector<double>& h_;
+  size_t n_;
+  std::vector<double> below_;  // Row i left of the diagonal, packed.
+  std::vector<double> above_;  // Column i above the diagonal, packed.
+};
+
+/// The O(l^2) part of Householder step i (l = i - 1, u = row i after
+/// scaling, h the reflector's normalizer): p = A u / h over the lower
+/// triangle into e, K = u.p / 2h, q = p - K u, and the rank-2 update
+/// A -= u q^T + q u^T.
+/// Serially, e_j sums row j's part (k <= j) and then column j's part
+/// (k > j) in ascending k. Here all row parts come first, then one pass
+/// over the rows below adds each row's contribution in ascending k: the
+/// same sums in the same order, with rows streamed instead of columns
+/// strided. (The step stays on one thread: split across the pool, the
+/// triangle migrates between cores every step and costs more than the
+/// arithmetic saved.)
+void ReduceStep(Matrix* z, std::vector<double>* e, size_t i, double h) {
+  size_t l = i - 1;
+  const double* u = z->Row(i);
+  double* p = e->data();
+  for (size_t j = 0; j <= l; ++j) {
+    (*z)(j, i) = u[j] / h;
+    const double* z_j = z->Row(j);
+    double g = 0.0;
+    for (size_t k = 0; k <= j; ++k) g += z_j[k] * u[k];
+    p[j] = g;
+  }
+  for (size_t k = 1; k <= l; ++k) {
+    const double* z_k = z->Row(k);
+    double u_k = u[k];
+    for (size_t j = 0; j < k; ++j) p[j] += z_k[j] * u_k;
+  }
+  double f = 0.0;
+  for (size_t j = 0; j <= l; ++j) {
+    p[j] /= h;
+    f += p[j] * u[j];
+  }
+  double hh = f / (h + h);
+  for (size_t j = 0; j <= l; ++j) p[j] = p[j] - hh * u[j];
+  for (size_t j = 0; j <= l; ++j) {
+    double f_j = u[j];
+    double g_j = p[j];
+    double* z_j = z->Row(j);
+    for (size_t k = 0; k <= j; ++k) z_j[k] -= f_j * p[k] + g_j * u[k];
+  }
+}
+
 /// Householder reduction of a symmetric matrix to tridiagonal form.
 /// On exit: d = diagonal, e = subdiagonal (e[0] unused), z = accumulated
 /// orthogonal transform (columns will become eigenvectors after QL).
@@ -233,23 +392,7 @@ void Tridiagonalize(Matrix* z, std::vector<double>* d, std::vector<double>* e) {
         (*e)[i] = scale * g;
         h -= f * g;
         (*z)(i, l) = f - g;
-        f = 0.0;
-        for (size_t j = 0; j <= l; ++j) {
-          (*z)(j, i) = (*z)(i, j) / h;
-          g = 0.0;
-          for (size_t k = 0; k <= j; ++k) g += (*z)(j, k) * (*z)(i, k);
-          for (size_t k = j + 1; k <= l; ++k) g += (*z)(k, j) * (*z)(i, k);
-          (*e)[j] = g / h;
-          f += (*e)[j] * (*z)(i, j);
-        }
-        double hh = f / (h + h);
-        for (size_t j = 0; j <= l; ++j) {
-          f = (*z)(i, j);
-          (*e)[j] = g = (*e)[j] - hh * f;
-          for (size_t k = 0; k <= j; ++k) {
-            (*z)(j, k) -= f * (*e)[k] + g * (*z)(i, k);
-          }
-        }
+        ReduceStep(z, e, i, h);
       }
     } else {
       (*e)[i] = (*z)(i, l);
@@ -258,29 +401,104 @@ void Tridiagonalize(Matrix* z, std::vector<double>* d, std::vector<double>* e) {
   }
   (*d)[0] = 0.0;
   (*e)[0] = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    size_t l = i;  // Columns [0, i) already transformed.
-    if ((*d)[i] != 0.0) {
-      for (size_t j = 0; j < l; ++j) {
-        double g = 0.0;
-        for (size_t k = 0; k < l; ++k) g += (*z)(i, k) * (*z)(k, j);
-        for (size_t k = 0; k < l; ++k) (*z)(k, j) -= g * (*z)(k, i);
-      }
+  // d[i] is read by step i before the diagonal entry changes, which only
+  // step i itself does.
+  std::vector<double> h = *d;
+  for (size_t i = 0; i < n; ++i) (*d)[i] = (*z)(i, i);
+  TransformAccumulator(z, h).Run();
+}
+
+/// The plane rotations of the QL sweeps, recorded as they are chosen and
+/// applied to the eigenvector matrix in batches. The QL scalar recurrence
+/// never reads the eigenvectors, so deferring the rotations changes nothing
+/// as long as each row of z sees them in the original order. The matrix is
+/// held transposed (zt = z^T): rotation (ii, s, c) then mixes rows ii and
+/// ii + 1 of zt, and each column of zt is independent.
+class RotationBuffer {
+ public:
+  explicit RotationBuffer(Matrix* zt) : zt_(zt) { pending_.reserve(kRotationBuffer); }
+
+  void Push(size_t ii, double s, double c) {
+    pending_.push_back(Rotation{ii, s, c});
+    if (pending_.size() == kRotationBuffer) Flush();
+  }
+
+  /// Applies every pending rotation in order, then empties the buffer.
+  void Flush() {
+    if (pending_.empty()) return;
+    size_t n = zt_->cols();
+    size_t grain = pending_.size() * n >= kRotationGrainWork ? kRotationGrainColumns : n;
+    ParallelForBlocks(SplitBlocks(n, grain), [&](size_t, size_t k0, size_t k1) {
+      size_t k = k0;
+      for (; k + kRotationLanes <= k1; k += kRotationLanes) Apply<kRotationLanes>(k);
+      for (; k < k1; ++k) Apply<1>(k);
+    });
+    pending_.clear();
+  }
+
+ private:
+  struct Rotation {
+    size_t ii;
+    double s;
+    double c;
+  };
+
+  /// Applies the pending rotations to columns [k, k + W) of zt. A sweep
+  /// rotates descending adjacent pairs (ii + 1, ii), so row ii's new value
+  /// is the next rotation's row ii + 1: it stays in `carry` for the whole
+  /// run instead of going through memory. Per element this is the serial
+  ///     f = z(k,ii+1); z(k,ii+1) = s*z(k,ii) + c*f; z(k,ii) = c*z(k,ii) - s*f
+  /// in the same order.
+  template <size_t W>
+  void Apply(size_t k) {
+    double carry[W];
+    size_t count = pending_.size();
+    for (size_t t = 0; t < count;) {
+      const double* top = zt_->Row(pending_[t].ii + 1) + k;
+      for (size_t q = 0; q < W; ++q) carry[q] = top[q];
+      size_t ii;
+      do {
+        ii = pending_[t].ii;
+        double s = pending_[t].s;
+        double c = pending_[t].c;
+        // Staged through locals so the compiler can vectorize across q
+        // without proving that the two rows do not overlap.
+        double a[W];
+        const double* row = zt_->Row(ii) + k;
+        for (size_t q = 0; q < W; ++q) a[q] = row[q];
+        double rotated[W];
+        for (size_t q = 0; q < W; ++q) {
+          rotated[q] = s * a[q] + c * carry[q];
+          carry[q] = c * a[q] - s * carry[q];
+        }
+        double* above = zt_->Row(ii + 1) + k;
+        for (size_t q = 0; q < W; ++q) above[q] = rotated[q];
+        ++t;
+      } while (t < count && pending_[t].ii + 1 == ii);
+      double* bottom = zt_->Row(ii) + k;
+      for (size_t q = 0; q < W; ++q) bottom[q] = carry[q];
     }
-    (*d)[i] = (*z)(i, i);
-    (*z)(i, i) = 1.0;
-    for (size_t j = 0; j < l; ++j) {
-      (*z)(j, i) = 0.0;
-      (*z)(i, j) = 0.0;
-    }
+  }
+
+  Matrix* zt_;
+  std::vector<Rotation> pending_;
+};
+
+/// In-place transpose of a square matrix.
+void TransposeSquare(Matrix* m) {
+  for (size_t i = 0; i < m->rows(); ++i) {
+    for (size_t j = i + 1; j < m->cols(); ++j) std::swap((*m)(i, j), (*m)(j, i));
   }
 }
 
 /// Implicit-shift QL on the tridiagonal (d, e), accumulating rotations
-/// into z's columns.
-bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
+/// into the columns of z, which is passed transposed (rows of zt). Returns
+/// false when an eigenvalue takes more than 50 iterations; the rotations
+/// chosen so far are applied either way.
+bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* zt) {
   size_t n = d->size();
   if (n == 0) return true;
+  RotationBuffer rotations(zt);
   for (size_t i = 1; i < n; ++i) (*e)[i - 1] = (*e)[i];
   (*e)[n - 1] = 0.0;
   for (size_t l = 0; l < n; ++l) {
@@ -292,7 +510,10 @@ bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
         if (std::abs((*e)[m]) <= 1e-15 * dd) break;
       }
       if (m != l) {
-        if (iterations++ == 50) return false;
+        if (iterations++ == 50) {
+          rotations.Flush();
+          return false;
+        }
         double g = ((*d)[l + 1] - (*d)[l]) / (2.0 * (*e)[l]);
         double r = Hypot(g, 1.0);
         double sign_r = g >= 0.0 ? std::abs(r) : -std::abs(r);
@@ -319,11 +540,7 @@ bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
           p = s * r;
           (*d)[ii + 1] = g + p;
           g = c * r - b;
-          for (size_t k = 0; k < n; ++k) {
-            f = (*z)(k, ii + 1);
-            (*z)(k, ii + 1) = s * (*z)(k, ii) + c * f;
-            (*z)(k, ii) = c * (*z)(k, ii) - s * f;
-          }
+          rotations.Push(ii, s, c);
         }
         if (broke_early) continue;
         (*d)[l] -= p;
@@ -332,6 +549,7 @@ bool TridiagonalQl(std::vector<double>* d, std::vector<double>* e, Matrix* z) {
       }
     } while (m != l);
   }
+  rotations.Flush();
   return true;
 }
 
@@ -343,10 +561,15 @@ EigenResult SymmetricEigen(const Matrix& a) {
   result.vectors = a;
   std::vector<double> e;
   Tridiagonalize(&result.vectors, &result.values, &e);
-  bool ok = TridiagonalQl(&result.values, &e, &result.vectors);
-  assert(ok && "QL iteration failed to converge");
-  (void)ok;
-  // Sort ascending by eigenvalue, permuting eigenvector columns.
+  TransposeSquare(&result.vectors);
+  result.converged = TridiagonalQl(&result.values, &e, &result.vectors);
+  if (!result.converged &&
+      !std::all_of(result.values.begin(), result.values.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    TransposeSquare(&result.vectors);
+    return result;  // NaN/Inf: nothing to order.
+  }
+  // Sort ascending by eigenvalue; eigenvector j is row order[j] of zt.
   size_t n = result.values.size();
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
@@ -357,7 +580,8 @@ EigenResult SymmetricEigen(const Matrix& a) {
   Matrix sorted_vectors(n, n);
   for (size_t j = 0; j < n; ++j) {
     sorted_values[j] = result.values[order[j]];
-    for (size_t i = 0; i < n; ++i) sorted_vectors(i, j) = result.vectors(i, order[j]);
+    const double* column = result.vectors.Row(order[j]);
+    for (size_t i = 0; i < n; ++i) sorted_vectors(i, j) = column[i];
   }
   result.values = std::move(sorted_values);
   result.vectors = std::move(sorted_vectors);

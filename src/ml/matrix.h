@@ -73,13 +73,24 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// out = a^T * b for a (m x p) and b (m x q), written into a caller-allocated
+/// p x q matrix. Each entry sums over the rows of a and b in ascending order
+/// and skips zero entries of a, exactly as a.Transpose().Multiply(b) does;
+/// large products split their output rows across the thread pool.
+void TransposeMultiplyInto(const Matrix& a, const Matrix& b, Matrix* out);
+
+/// In-place Cholesky factorization: the lower triangle of `a` becomes L with
+/// A = L L^T. Reads and writes only the lower triangle. Returns false when A
+/// is not positive definite (or holds NaN).
+bool CholeskyFactorInPlace(Matrix* a);
+
+/// Solves L L^T x = b given a factor produced by CholeskyFactorInPlace.
+void CholeskyBackSolve(const Matrix& l, const double* b, double* x);
+
 /// Solves A x = b for symmetric positive definite A via Cholesky.
 /// Returns false when A is not positive definite (no solution written).
 bool CholeskySolve(const Matrix& a, const std::vector<double>& b,
                    std::vector<double>* x);
-
-/// Solves A X = B (B has multiple right-hand columns) via Cholesky.
-bool CholeskySolveMatrix(const Matrix& a, const Matrix& b, Matrix* x);
 
 /// Solves A x = b for general square A via LU with partial pivoting.
 /// Returns false on (numerical) singularity.
@@ -87,14 +98,23 @@ bool LuSolve(const Matrix& a, const std::vector<double>& b, std::vector<double>*
 
 /// Result of a symmetric eigendecomposition: A = V diag(values) V^T, with
 /// eigenvalues ascending and eigenvectors in the *columns* of `vectors`.
+/// `converged` is false when the QL iteration stopped at its 50-iteration
+/// cap. Then `values` are the diagonal of the partly reduced matrix and
+/// `vectors` its orthogonal transform: sorted as above when finite, left
+/// unsorted when any value is NaN/Inf (e.g. NaN input), which no caller may
+/// use.
 struct EigenResult {
   std::vector<double> values;
   Matrix vectors;
+  bool converged = true;
 };
 
 /// Eigendecomposition of a symmetric matrix via Householder
 /// tridiagonalization followed by implicit-shift QL. O(n^3); accurate for
-/// the kernel matrices used here. Precondition: `a` square and symmetric.
+/// the kernel matrices used here. Large matrices run the eigenvector
+/// accumulation and the QL rotations on the thread pool with the serial
+/// operation order, so the result is bit-identical at any thread count.
+/// Precondition: `a` square and symmetric.
 EigenResult SymmetricEigen(const Matrix& a);
 
 }  // namespace semdrift

@@ -5,6 +5,7 @@
 
 #include "ml/matrix.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace semdrift {
 
@@ -37,25 +38,39 @@ struct MultiTaskOptions {
 /// Result of training: one classifier per task, Wc in r x num_outputs; a
 /// sample x~ is classified as argmax of Wc^T x~. `objective_trace` records
 /// the Eq. 18 value per iteration (Theorem 1 says it must be monotonically
-/// non-increasing — asserted in tests and plotted by Fig. 5(c)).
+/// non-increasing — asserted in tests and plotted by Fig. 5(c)). When a
+/// task's linear system is not positive definite (e.g. NaN in its xl),
+/// `status` names the lowest such task and `w` is empty.
 struct MultiTaskResult {
   std::vector<Matrix> w;
   std::vector<double> objective_trace;
+  Status status;
 };
 
 /// Single-task semi-supervised training (Eq. 15): closed form
 ///   Wc = (Xl^T Xl + lambda A + lambda beta I)^(-1) Xl^T Y.
 /// `a` is the manifold regularizer over labeled + unlabeled data (r x r).
+/// Returns an empty (0 x 0) matrix when the system is not positive definite.
 Matrix TrainSemiSupervised(const LearningTask& task, const Matrix& a,
                            const MultiTaskOptions& options);
 
+/// Eq. 15 for every task, solved on the thread pool; each Wc is
+/// bit-identical to TrainSemiSupervised on that task alone.
+MultiTaskResult TrainSemiSupervisedTasks(const std::vector<LearningTask>& tasks,
+                                         const Matrix& a,
+                                         const MultiTaskOptions& options);
+
 /// Plain ridge least squares (no manifold term) — the fully supervised
-/// linear baseline: Wc = (Xl^T Xl + lambda beta I)^(-1) Xl^T Y.
+/// linear baseline: Wc = (Xl^T Xl + lambda beta I)^(-1) Xl^T Y. Returns an
+/// empty matrix when the system is not positive definite.
 Matrix TrainRidge(const LearningTask& task, const MultiTaskOptions& options);
 
 /// Algorithm 1: joint semi-supervised multi-task training of all tasks with
 /// the shared manifold regularizer `a` and the l2,1 shared-structure term.
-/// All tasks must share the representation dimension r = a.rows().
+/// All tasks must share the representation dimension r = a.rows(). Within
+/// an iteration the per-task Eq. 20 systems (independent once the shared
+/// column norms are fixed) and objective terms run on the thread pool; the
+/// result is bit-identical at any thread count.
 MultiTaskResult TrainMultiTask(const std::vector<LearningTask>& tasks,
                                const Matrix& a, const MultiTaskOptions& options);
 

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -93,6 +94,26 @@ int GlobalThreadCount() {
 void SetGlobalThreadCount(int num_threads) {
   std::lock_guard<std::mutex> lock(g_pool_mu);
   g_thread_override = num_threads > 0 ? num_threads : 0;
+}
+
+BlockRange SplitBlocks(size_t n, size_t grain) {
+  BlockRange range;
+  range.n = n;
+  size_t most = n / std::max<size_t>(grain, 1);
+  range.blocks = std::max<size_t>(
+      1, std::min(most, static_cast<size_t>(GlobalThreadCount())));
+  return range;
+}
+
+void ParallelForBlocks(const BlockRange& range,
+                       const std::function<void(size_t, size_t, size_t)>& body) {
+  if (range.n == 0) return;
+  if (range.blocks == 1) {
+    body(0, 0, range.n);
+    return;
+  }
+  ParallelFor(range.blocks,
+              [&](size_t b) { body(b, range.Begin(b), range.End(b)); });
 }
 
 uint64_t TaskSeed(uint64_t base_seed, uint64_t task_index) {

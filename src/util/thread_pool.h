@@ -93,6 +93,28 @@ std::vector<T> ParallelMap(size_t n, const std::function<T(size_t)>& body) {
   return out;
 }
 
+/// A contiguous split of [0, n) into blocks, for loops that keep scratch per
+/// block or whose iterations are too small to dispatch one by one. Block b
+/// covers [Begin(b), End(b)).
+struct BlockRange {
+  size_t n = 0;
+  size_t blocks = 1;
+  size_t Begin(size_t b) const { return n * b / blocks; }
+  size_t End(size_t b) const { return n * (b + 1) / blocks; }
+};
+
+/// At most GlobalThreadCount() blocks of at least `grain` indices each (one
+/// block when n < 2 * grain). `grain` is where a block's work outweighs the
+/// cost of a pool dispatch.
+BlockRange SplitBlocks(size_t n, size_t grain);
+
+/// Runs body(block, begin, end) for every block of `range` on the global
+/// pool; a single block runs inline on the calling thread. Which block runs
+/// where never changes what a block computes, so a body that writes only
+/// its own indices gives the same result at every thread count.
+void ParallelForBlocks(const BlockRange& range,
+                       const std::function<void(size_t, size_t, size_t)>& body);
+
 /// Deterministic per-task seed stream: mixes a base seed with a task index
 /// so that task t's Rng is independent of how tasks are scheduled. Used by
 /// every parallelized stochastic stage (random-forest trees, fuzz sweeps)

@@ -6,6 +6,7 @@
 #include "dp/sentence_check.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
+#include "obs/trace.h"
 
 namespace semdrift {
 namespace {
@@ -172,6 +173,38 @@ TEST(DpCleanerEndToEndTest, ReportIsConsistent) {
         experiment->corpus().sentences.Get(record.sentence);
     EXPECT_GE(sentence.candidate_concepts.size(), 2u);
   }
+}
+
+TEST(DpCleanerEndToEndTest, ClassificationIsTracedPerRound) {
+  // The unsupervised classify records the same score.batch span as the
+  // supervised one: one per round, with the scope and detection counts.
+  ExperimentConfig config = PaperScaleConfig(0.03);
+  auto experiment = Experiment::Build(config);
+  KnowledgeBase kb = experiment->Extract();
+  std::vector<ConceptId> scope;
+  for (size_t c = 0; c < experiment->world().num_concepts(); ++c) {
+    scope.push_back(ConceptId(static_cast<uint32_t>(c)));
+  }
+  CleanerOptions options;
+  options.train.max_pool_samples = 200;
+  DpCleaner cleaner(&experiment->corpus().sentences, experiment->MakeVerifiedSource(),
+                    experiment->world().num_concepts(), options);
+  GlobalTrace().Clear();
+  GlobalTrace().Enable(true);
+  CleaningReport report = cleaner.Clean(&kb, scope);
+  GlobalTrace().Enable(false);
+  std::vector<TraceSpan> spans = GlobalTrace().Snapshot();
+  GlobalTrace().Clear();
+  int batches = 0;
+  for (const TraceSpan& span : spans) {
+    if (span.name != "score.batch") continue;
+    ++batches;
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : span.tags) keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"concepts", "detections"}));
+    EXPECT_EQ(span.tags[0].second, std::to_string(scope.size()));
+  }
+  EXPECT_EQ(batches, report.rounds);
 }
 
 TEST(DpCleanerEndToEndTest, UngatedModeRemovesMore) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dp/detector.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace semdrift {
@@ -167,6 +170,44 @@ TEST(DetectorDeterminismTest, SameSeedSameDetector) {
                     2 * rng.NextDouble(), 2 * rng.NextDouble()};
     EXPECT_EQ(a->Classify(ConceptId(0), f), b->Classify(ConceptId(0), f));
   }
+}
+
+TEST(LinearKpcaDetectorTest, UnsolvableTaskYieldsNoDetectorAndFallsBack) {
+  // A NaN in a labeled row that the capped pool leaves out reaches its
+  // task's Eq. 20 / Eq. 15 system but not the KPCA fit. Training must fail
+  // (nullptr) rather than average a 0 x 0 classifier into the fallback,
+  // and the supervised trainer must take its fallback ladder.
+  TrainingData data = MakePlantedData(4, 20, 21);
+  data[2].features[7][1] = std::numeric_limits<double>::quiet_NaN();
+  DetectorTrainOptions options;
+  options.max_pool_samples = 24;
+  EXPECT_EQ(TrainDetector(DetectorKind::kSemiSupervisedMultiTask, data, options),
+            nullptr);
+  EXPECT_EQ(TrainDetector(DetectorKind::kSemiSupervised, data, options), nullptr);
+  SupervisorOptions supervision;
+  supervision.max_retries = 0;
+  Supervisor supervisor(supervision);
+  Result<SupervisedTrainResult> result = TrainDetectorSupervised(
+      DetectorKind::kSemiSupervisedMultiTask, data, options, &supervisor);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->fell_back);
+  EXPECT_NE(result->detector, nullptr);
+}
+
+TEST(LinearKpcaDetectorTest, RecordsStageMetrics) {
+  MetricsRegistry& metrics = GlobalMetrics();
+  uint64_t fits = metrics.HistogramValues("ml.kpca_fit_ns").count;
+  uint64_t manifolds = metrics.HistogramValues("ml.manifold_ns").count;
+  uint64_t trainings = metrics.HistogramValues("ml.multitask_ns").count;
+  uint64_t iterations = metrics.CounterValue("ml.multitask_iterations");
+  TrainingData data = MakePlantedData(3, 10, 23, 0.3);
+  ASSERT_NE(TrainDetector(DetectorKind::kSemiSupervisedMultiTask, data,
+                          DetectorTrainOptions{}),
+            nullptr);
+  EXPECT_EQ(metrics.HistogramValues("ml.kpca_fit_ns").count, fits + 1);
+  EXPECT_EQ(metrics.HistogramValues("ml.manifold_ns").count, manifolds + 1);
+  EXPECT_EQ(metrics.HistogramValues("ml.multitask_ns").count, trainings + 1);
+  EXPECT_GT(metrics.CounterValue("ml.multitask_iterations"), iterations);
 }
 
 TEST(CollectTrainingDataTest, SkipsEmptyConcepts) {

@@ -4,6 +4,7 @@
 
 #include "ml/kpca.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace semdrift {
 namespace {
@@ -145,6 +146,27 @@ TEST(KpcaTest, StandardizationNeutralizesDominantScale) {
     separable = max_a < min_b || max_b < min_a;
   }
   EXPECT_TRUE(separable);
+}
+
+TEST(KpcaTest, TransformMatrixRowsAreTransformAtAnyThreadCount) {
+  // Enough rows to split across the pool; every row must be bit-identical
+  // to the single-point projection.
+  Rng rng(13);
+  Matrix x = GaussianBlobs(60, {{0, 0, 0, 0}, {3, 1, 0, 2}, {0, 4, 2, 1}}, 0.6, &rng);
+  KernelPca kpca;
+  ASSERT_TRUE(kpca.Fit(x, KpcaOptions{}));
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    Matrix projected = kpca.TransformMatrix(x);
+    ASSERT_EQ(projected.rows(), x.rows());
+    for (size_t i = 0; i < x.rows(); ++i) {
+      std::vector<double> point(x.Row(i), x.Row(i) + x.cols());
+      std::vector<double> single = kpca.Transform(point);
+      std::vector<double> row(projected.Row(i), projected.Row(i) + projected.cols());
+      ASSERT_EQ(row, single) << "row " << i << " threads " << threads;
+    }
+  }
+  SetGlobalThreadCount(0);
 }
 
 TEST(KernelTest, RbfProperties) {

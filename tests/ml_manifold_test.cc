@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ml/knn.h"
 #include "ml/manifold.h"
 #include "ml/matrix.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace semdrift {
 namespace {
@@ -84,6 +87,38 @@ TEST(ManifoldTest, PenalizesDirectionsThatVaryLocally) {
   double cost_dim0 = a(0, 0);
   double cost_dim1 = a(1, 1);
   EXPECT_GT(cost_dim1, cost_dim0);
+}
+
+TEST(ManifoldTest, BitIdenticalAtAnyThreadCount) {
+  // Enough rows for the neighbor search and the local systems to split
+  // across the pool; the serial scatter keeps M's sums in row order.
+  Rng rng(31);
+  Matrix x(240, 6);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.cols(); ++j) x(i, j) = rng.NextGaussian() + (i % 4 == j ? 3.0 : 0.0);
+  }
+  SetGlobalThreadCount(1);
+  auto serial_nb = KNearestNeighbors(x, 7);
+  Matrix serial = BuildManifoldRegularizer(x, ManifoldOptions{});
+  for (int threads : {2, 8}) {
+    SetGlobalThreadCount(threads);
+    EXPECT_EQ(KNearestNeighbors(x, 7), serial_nb) << "threads " << threads;
+    Matrix parallel = BuildManifoldRegularizer(x, ManifoldOptions{});
+    EXPECT_EQ(parallel.MaxAbsDiff(serial), 0.0) << "threads " << threads;
+  }
+  SetGlobalThreadCount(0);
+}
+
+TEST(ManifoldTest, NonFiniteInputFailsInsteadOfReturningGarbage) {
+  Rng rng(37);
+  Matrix x(30, 3);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.cols(); ++j) x(i, j) = rng.NextGaussian();
+  }
+  x(4, 1) = std::numeric_limits<double>::quiet_NaN();
+  Matrix a = BuildManifoldRegularizer(x, ManifoldOptions{});
+  EXPECT_EQ(a.rows(), 0u);
+  EXPECT_EQ(a.cols(), 0u);
 }
 
 TEST(ManifoldTest, ZeroDataGivesZeroRegularizer) {

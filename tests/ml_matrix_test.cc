@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ml/matrix.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace semdrift {
 namespace {
@@ -142,17 +144,6 @@ TEST_P(CholeskyPropertyTest, ResidualSmallOnRandomSpd) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 10, 25, 60));
 
-TEST(CholeskyTest, MatrixRhs) {
-  Rng rng(17);
-  Matrix a = RandomSpd(6, &rng);
-  Matrix b(6, 3);
-  for (size_t i = 0; i < 6; ++i)
-    for (size_t j = 0; j < 3; ++j) b(i, j) = rng.NextGaussian();
-  Matrix x;
-  ASSERT_TRUE(CholeskySolveMatrix(a, b, &x));
-  EXPECT_LT(a.Multiply(x).MaxAbsDiff(b), 1e-8);
-}
-
 TEST(LuTest, SolvesNonSymmetric) {
   Matrix a(3, 3);
   double values[3][3] = {{0, 2, 1}, {1, -2, -3}, {-1, 1, 2}};
@@ -255,8 +246,77 @@ TEST_P(EigenPropertyTest, ValuesAscending) {
   for (size_t i = 1; i < n; ++i) EXPECT_LE(eigen.values[i - 1], eigen.values[i]);
 }
 
+// 150 is above the order where the eigenvector accumulation and the QL
+// rotations move to the thread pool.
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenPropertyTest,
-                         ::testing::Values(2, 3, 4, 8, 16, 33, 64));
+                         ::testing::Values(2, 3, 4, 8, 16, 33, 64, 150));
+
+TEST(EigenTest, NanPairIsReportedAsNotConverged) {
+  // One poisoned symmetric pair spreads through the whole reduction; the QL
+  // iteration can never deflate it. The result must say so instead of
+  // coming back as plausible-looking NaN eigenvalues.
+  Rng rng(6);
+  Matrix a = RandomSymmetric(6, &rng);
+  a(1, 4) = std::numeric_limits<double>::quiet_NaN();
+  a(4, 1) = a(1, 4);
+  EigenResult eigen = SymmetricEigen(a);
+  EXPECT_FALSE(eigen.converged);
+  EXPECT_TRUE(SymmetricEigen(RandomSymmetric(6, &rng)).converged);
+}
+
+TEST(EigenTest, BitIdenticalAtAnyThreadCount) {
+  Rng rng(17);
+  Matrix a = RandomSymmetric(160, &rng);
+  SetGlobalThreadCount(1);
+  EigenResult serial = SymmetricEigen(a);
+  for (int threads : {2, 4, 8}) {
+    SetGlobalThreadCount(threads);
+    EigenResult parallel = SymmetricEigen(a);
+    EXPECT_EQ(parallel.values, serial.values) << "threads " << threads;
+    EXPECT_EQ(parallel.vectors.MaxAbsDiff(serial.vectors), 0.0) << "threads " << threads;
+  }
+  SetGlobalThreadCount(0);
+}
+
+TEST(MatrixTest, TransposeMultiplyIntoMatchesTransposeThenMultiply) {
+  // Large enough to split across the pool; zeros exercise the skip.
+  Rng rng(23);
+  Matrix a(300, 90);
+  Matrix b(300, 110);
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.cols(); ++j) a(i, j) = (i + j) % 7 == 0 ? 0.0 : rng.NextGaussian();
+    for (size_t j = 0; j < b.cols(); ++j) b(i, j) = rng.NextGaussian();
+  }
+  Matrix expected = a.Transpose().Multiply(b);
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    Matrix out(a.cols(), b.cols());
+    TransposeMultiplyInto(a, b, &out);
+    EXPECT_EQ(out.MaxAbsDiff(expected), 0.0) << "threads " << threads;
+  }
+  SetGlobalThreadCount(0);
+}
+
+TEST(CholeskyTest, InPlaceFactorReadsOnlyTheLowerTriangle) {
+  Rng rng(29);
+  Matrix a = RandomSymmetric(12, &rng);
+  a.AddDiagonal(30.0);  // Diagonally dominant: positive definite.
+  std::vector<double> b(12);
+  for (double& v : b) v = rng.NextGaussian();
+  std::vector<double> expected;
+  ASSERT_TRUE(CholeskySolve(a, b, &expected));
+  Matrix factor = a;
+  for (size_t i = 0; i < 12; ++i) {
+    for (size_t j = i + 1; j < 12; ++j) factor(i, j) = 1e300;  // Never read.
+  }
+  ASSERT_TRUE(CholeskyFactorInPlace(&factor));
+  std::vector<double> x(12);
+  CholeskyBackSolve(factor, b.data(), x.data());
+  EXPECT_EQ(x, expected);
+  Matrix nan_system = a;
+  nan_system(3, 3) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(CholeskyFactorInPlace(&nan_system));
+}
 
 TEST(EigenTest, TraceEqualsEigenSum) {
   Rng rng(99);

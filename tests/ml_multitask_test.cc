@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "ml/manifold.h"
 #include "ml/multitask.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace semdrift {
 namespace {
@@ -161,6 +164,75 @@ TEST(MultiTaskTest, ObjectiveValueMatchesHelper) {
   MultiTaskResult result = TrainMultiTask(tasks, a, options);
   double recomputed = MultiTaskObjective(tasks, a, result.w, options);
   EXPECT_NEAR(recomputed, result.objective_trace.back(), 1e-9);
+}
+
+/// Tasks over a shared r-dimensional representation with a regularizer
+/// from a random pool (enough tasks for the solves to split across the
+/// pool).
+struct TaskSet {
+  std::vector<LearningTask> tasks;
+  Matrix a;
+};
+
+TaskSet MakeTaskSet(size_t count, size_t r, uint64_t seed) {
+  Rng rng(seed);
+  TaskSet set;
+  for (size_t t = 0; t < count; ++t) set.tasks.push_back(MakeSeparableTask(16, r, &rng));
+  Matrix x_pool(60, r);
+  for (size_t i = 0; i < x_pool.rows(); ++i) {
+    for (size_t j = 0; j < r; ++j) x_pool(i, j) = rng.NextGaussian();
+  }
+  set.a = BuildManifoldRegularizer(x_pool, ManifoldOptions{});
+  return set;
+}
+
+TEST(MultiTaskTest, NanInOneTaskFailsWithThatTask) {
+  // A task whose Eq. 20 system cannot be factored must fail the whole
+  // solve, naming the lowest failing task at every thread count, rather
+  // than yield a 0 x 0 classifier that later code averages or applies.
+  TaskSet set = MakeTaskSet(12, 30, 41);
+  set.tasks[5].xl(3, 2) = std::numeric_limits<double>::quiet_NaN();
+  set.tasks[9].xl(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    MultiTaskResult result = TrainMultiTask(set.tasks, set.a, MultiTaskOptions{});
+    EXPECT_FALSE(result.status.ok()) << "threads " << threads;
+    EXPECT_NE(result.status.ToString().find("task 5"), std::string::npos)
+        << result.status.ToString();
+    EXPECT_TRUE(result.w.empty());
+    MultiTaskResult single =
+        TrainSemiSupervisedTasks(set.tasks, set.a, MultiTaskOptions{});
+    EXPECT_FALSE(single.status.ok());
+    EXPECT_NE(single.status.ToString().find("task 5"), std::string::npos);
+  }
+  SetGlobalThreadCount(0);
+  Matrix w = TrainSemiSupervised(set.tasks[5], set.a, MultiTaskOptions{});
+  EXPECT_EQ(w.rows(), 0u);
+  EXPECT_EQ(TrainRidge(set.tasks[9], MultiTaskOptions{}).rows(), 0u);
+}
+
+TEST(MultiTaskTest, ParallelSolvesMatchOneTaskAtATime) {
+  TaskSet set = MakeTaskSet(12, 30, 43);
+  MultiTaskOptions options;
+  for (int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    MultiTaskResult batch = TrainSemiSupervisedTasks(set.tasks, set.a, options);
+    ASSERT_TRUE(batch.status.ok());
+    ASSERT_EQ(batch.w.size(), set.tasks.size());
+    for (size_t t = 0; t < set.tasks.size(); ++t) {
+      Matrix one = TrainSemiSupervised(set.tasks[t], set.a, options);
+      EXPECT_EQ(batch.w[t].MaxAbsDiff(one), 0.0) << "task " << t;
+    }
+  }
+  SetGlobalThreadCount(1);
+  MultiTaskResult serial = TrainMultiTask(set.tasks, set.a, options);
+  SetGlobalThreadCount(4);
+  MultiTaskResult parallel = TrainMultiTask(set.tasks, set.a, options);
+  SetGlobalThreadCount(0);
+  EXPECT_EQ(parallel.objective_trace, serial.objective_trace);
+  for (size_t t = 0; t < set.tasks.size(); ++t) {
+    EXPECT_EQ(parallel.w[t].MaxAbsDiff(serial.w[t]), 0.0) << "task " << t;
+  }
 }
 
 TEST(PredictClassTest, PicksArgmaxColumn) {

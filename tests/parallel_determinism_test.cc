@@ -6,17 +6,31 @@
 // change only wall-clock time while preserving checkpoint byte-identity.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "corpus/serialization.h"
+#include "dp/cleaner.h"
 #include "dp/detector.h"
 #include "dp/features.h"
 #include "dp/seed_labeling.h"
 #include "eval/experiment.h"
+#include "ml/kernel.h"
+#include "ml/kpca.h"
+#include "ml/manifold.h"
+#include "ml/multitask.h"
 #include "ml/random_forest.h"
 #include "mutex/mutex_index.h"
 #include "rank/scorers.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace semdrift {
@@ -176,6 +190,217 @@ TEST_F(ParallelDeterminismTest, RandomForestFitIsThreadCountInvariant) {
           << "exact=" << exact << " threads " << threads;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outputs of the DP detector's numeric kernels. Thread-count
+// invariance alone would accept a result that is deterministic but differs
+// from the serial algorithm the kernels were restructured from; these
+// hashes pin each kernel's output bits to the serial implementation's, and
+// every check runs at 1, 2 and 8 threads. The values assume an x86-64
+// build without FMA contraction (the repository's flags) and glibc's exp.
+
+/// FNV-1a over the bit patterns of everything added.
+class OutputHash {
+ public:
+  void Add(uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (v >> (8 * b)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const Matrix& m) {
+    Add(static_cast<uint64_t>(m.rows()));
+    Add(static_cast<uint64_t>(m.cols()));
+    for (size_t i = 0; i < m.rows(); ++i) {
+      for (size_t j = 0; j < m.cols(); ++j) Add(m(i, j));
+    }
+  }
+  void Add(const std::vector<double>& values) {
+    Add(static_cast<uint64_t>(values.size()));
+    for (double v : values) Add(v);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Fixed 600 x 4 pool: three offset Gaussian clusters, the pool size and
+/// dimension TrainDetector feeds kernel PCA.
+Matrix PinnedPool() {
+  Rng rng(20140324);
+  Matrix x(600, 4);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.cols(); ++j) {
+      x(i, j) = rng.NextGaussian() + (i % 3 == j % 3 ? 2.0 : 0.0);
+    }
+  }
+  return x;
+}
+
+uint64_t EigenHash() {
+  Matrix pool = PinnedPool();
+  Matrix k = KernelMatrix(KernelType::kRbf, 0.25, pool);
+  size_t n = k.rows();
+  std::vector<double> row_mean(n, 0.0);
+  double total = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) row_mean[i] += k(i, j);
+    total += row_mean[i];
+    row_mean[i] /= static_cast<double>(n);
+  }
+  total /= static_cast<double>(n) * static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) k(i, j) = k(i, j) - row_mean[i] - row_mean[j] + total;
+  }
+  EigenResult eigen = SymmetricEigen(k);
+  OutputHash hash;
+  hash.Add(eigen.values);
+  hash.Add(eigen.vectors);
+  return hash.value();
+}
+
+uint64_t KpcaHash() {
+  Matrix pool = PinnedPool();
+  KernelPca kpca;
+  EXPECT_TRUE(kpca.Fit(pool, KpcaOptions{}));
+  OutputHash hash;
+  hash.Add(kpca.eigenvalues());
+  hash.Add(kpca.TransformMatrix(pool));
+  std::vector<double> point = {0.5, -1.0, 2.0, 0.25};
+  hash.Add(kpca.Transform(point));
+  return hash.value();
+}
+
+/// 30 tasks of 20 rows over a 40-component projection of the pinned pool,
+/// trained jointly (Algorithm 1) with the pool's manifold regularizer.
+uint64_t MultiTaskHash() {
+  Matrix pool = PinnedPool();
+  KernelPca kpca;
+  KpcaOptions kpca_options;
+  kpca_options.max_components = 40;
+  EXPECT_TRUE(kpca.Fit(pool, kpca_options));
+  Matrix projected = kpca.TransformMatrix(pool);
+  Matrix a = BuildManifoldRegularizer(projected, ManifoldOptions{});
+  std::vector<LearningTask> tasks(30);
+  size_t r = projected.cols();
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    tasks[t].xl = Matrix(20, r);
+    tasks[t].y = Matrix(20, 3);
+    for (size_t row = 0; row < 20; ++row) {
+      size_t i = 20 * t + row;
+      for (size_t p = 0; p < r; ++p) tasks[t].xl(row, p) = projected(i, p);
+      tasks[t].y(row, (i * 7 + t) % 3) = 1.0;
+    }
+  }
+  MultiTaskResult result = TrainMultiTask(tasks, a, MultiTaskOptions{});
+  OutputHash hash;
+  hash.Add(a);
+  for (const Matrix& w : result.w) hash.Add(w);
+  hash.Add(result.objective_trace);
+  return hash.value();
+}
+
+// Recorded from the serial implementation.
+constexpr uint64_t kPinnedEigen = 0x8d58ec6ccdb5fc07ULL;
+constexpr uint64_t kPinnedKpca = 0x66c71d5378e4846fULL;
+constexpr uint64_t kPinnedMultiTask = 0x0a16f1e00cd5f17dULL;
+constexpr uint64_t kPinnedMultiTaskDecisions = 0x4baa7b4e8edfd806ULL;
+constexpr uint64_t kPinnedSingleTaskDecisions = 0x991d80d02329d586ULL;
+constexpr uint64_t kPinnedTaxonomy = 0x9a8773108eb34eddULL;
+
+TEST_F(ParallelDeterminismTest, EigenMatchesPinnedSerialOutput) {
+  for (int threads : kThreadCounts) {
+    SetGlobalThreadCount(threads);
+    EXPECT_EQ(EigenHash(), kPinnedEigen) << "threads " << threads;
+  }
+}
+
+TEST_F(ParallelDeterminismTest, KpcaMatchesPinnedSerialOutput) {
+  for (int threads : kThreadCounts) {
+    SetGlobalThreadCount(threads);
+    EXPECT_EQ(KpcaHash(), kPinnedKpca) << "threads " << threads;
+  }
+}
+
+TEST_F(ParallelDeterminismTest, MultiTaskMatchesPinnedSerialOutput) {
+  for (int threads : kThreadCounts) {
+    SetGlobalThreadCount(threads);
+    EXPECT_EQ(MultiTaskHash(), kPinnedMultiTask) << "threads " << threads;
+  }
+}
+
+TEST_F(ParallelDeterminismTest, DetectorDecisionsMatchPinnedSerialOutput) {
+  MutexIndex mutex(*kb_, scope_.size());
+  ScoreCache scores(kb_, RankModel::kRandomWalk);
+  scores.Warm(scope_);
+  FeatureExtractor features(kb_, &mutex, &scores);
+  SeedLabeler seeds(kb_, &mutex, experiment_->MakeVerifiedSource());
+  TrainingData data = CollectTrainingData(*kb_, &features, seeds, scope_);
+  // A 300-row pool keeps the eigensolve small enough for the TSan build
+  // while every stage of the detector still runs.
+  DetectorTrainOptions options;
+  options.max_pool_samples = 300;
+  for (DetectorKind kind :
+       {DetectorKind::kSemiSupervisedMultiTask, DetectorKind::kSemiSupervised}) {
+    for (int threads : kThreadCounts) {
+      SetGlobalThreadCount(threads);
+      std::unique_ptr<DpDetector> detector = TrainDetector(kind, data, options);
+      ASSERT_NE(detector, nullptr);
+      OutputHash hash;
+      for (ConceptId c : scope_) {
+        for (InstanceId e : kb_->LiveInstancesOf(c)) {
+          hash.Add(static_cast<uint64_t>(detector->Classify(c, features.Extract(c, e))));
+        }
+      }
+      EXPECT_EQ(hash.value(), kind == DetectorKind::kSemiSupervisedMultiTask
+                                  ? kPinnedMultiTaskDecisions
+                                  : kPinnedSingleTaskDecisions)
+          << DetectorKindName(kind) << " threads " << threads;
+    }
+  }
+}
+
+TEST_F(ParallelDeterminismTest, CleanTaxonomyMatchesPinnedSerialOutput) {
+  ExperimentConfig config = PaperScaleConfig(0.02);
+  config.seed = 7;
+  std::unique_ptr<Experiment> small = Experiment::Build(config);
+  KnowledgeBase extracted = small->Extract();
+  std::vector<ConceptId> scope;
+  for (size_t c = 0; c < small->world().num_concepts(); ++c) {
+    scope.push_back(ConceptId(static_cast<uint32_t>(c)));
+  }
+  CleanerOptions options;
+  options.train.max_pool_samples = 200;  // Sized for the TSan build.
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("semdrift_pinned_taxonomy_" + std::to_string(::getpid()) + ".tsv"))
+                         .string();
+  for (int threads : kThreadCounts) {
+    SetGlobalThreadCount(threads);
+    Result<KnowledgeBase> replayed = KnowledgeBase::FromRecords(extracted.records());
+    ASSERT_TRUE(replayed.ok());
+    KnowledgeBase kb = std::move(*replayed);
+    DpCleaner cleaner(&small->corpus().sentences, small->MakeVerifiedSource(),
+                      small->world().num_concepts(), options);
+    CleaningReport report = cleaner.Clean(&kb, scope);
+    ASSERT_TRUE(ExportTaxonomyTsv(kb, small->world(), path).ok());
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    OutputHash hash;
+    for (char ch : bytes.str()) hash.Add(static_cast<uint64_t>(static_cast<unsigned char>(ch)));
+    hash.Add(static_cast<uint64_t>(report.rounds));
+    hash.Add(static_cast<uint64_t>(report.records_rolled_back));
+    hash.Add(static_cast<uint64_t>(report.sentence_checks.size()));
+    EXPECT_EQ(hash.value(), kPinnedTaxonomy) << "threads " << threads;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

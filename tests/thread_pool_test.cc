@@ -114,6 +114,28 @@ TEST(ThreadPoolTest, GlobalThreadCountOverride) {
   EXPECT_GE(HardwareThreads(), 1);
 }
 
+TEST(ThreadPoolTest, SplitBlocksCoversTheRangeOnce) {
+  SetGlobalThreadCount(4);
+  EXPECT_EQ(SplitBlocks(10, 8).blocks, 1u);    // Under two grains: inline.
+  EXPECT_EQ(SplitBlocks(17, 8).blocks, 2u);
+  EXPECT_EQ(SplitBlocks(1000, 8).blocks, 4u);  // Capped at the pool width.
+  EXPECT_EQ(SplitBlocks(0, 8).blocks, 1u);
+  for (size_t n : {0u, 1u, 7u, 100u, 1001u}) {
+    BlockRange range = SplitBlocks(n, 3);
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<size_t> blocks_run{0};
+    ParallelForBlocks(range, [&](size_t b, size_t begin, size_t end) {
+      EXPECT_EQ(begin, range.Begin(b));
+      EXPECT_EQ(end, range.End(b));
+      ++blocks_run;
+      for (size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    EXPECT_EQ(blocks_run.load(), n == 0 ? 0u : range.blocks) << "n " << n;
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "n " << n;
+  }
+  SetGlobalThreadCount(0);
+}
+
 TEST(ThreadPoolTest, TaskSeedStreamsAreDistinctAndStable) {
   // Same (base, index) -> same seed; different index or base -> different.
   EXPECT_EQ(TaskSeed(2014, 5), TaskSeed(2014, 5));

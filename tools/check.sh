@@ -201,7 +201,8 @@ echo "== TSan: concurrency tests =="
 TSAN_TARGETS=(thread_pool_test parallel_determinism_test supervisor_test
   serve_batcher_test serve_hotswap_test obs_test ml_forest_test
   forest_differential_test net_protocol_test net_router_test net_server_test
-  stream_differential_test)
+  stream_differential_test ml_matrix_test ml_kpca_test ml_multitask_test
+  ml_manifold_test dp_cleaner_test)
 cmake -B build-tsan -S . -DSEMDRIFT_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$JOBS" --target "${TSAN_TARGETS[@]}"
