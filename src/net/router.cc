@@ -234,8 +234,17 @@ void ShardRouter::Submit(std::string line, RequestPriority priority,
   }
 
   direct_.fetch_add(1, std::memory_order_relaxed);
-  shards_[owner]->batcher->SubmitCallback(std::move(line), deadline_ms, priority,
-                                          std::move(done));
+  if (options_.batch.deadline_budget_ms > 0) {
+    // Admission control sheds on queue wait, which only the queued path has.
+    shards_[owner]->batcher->SubmitCallback(std::move(line), deadline_ms,
+                                            priority, std::move(done));
+    return;
+  }
+  // Inline: one pin per request. An inline answer starts at once, so no
+  // deadline can expire and no CancellationToken is armed (no verb polls one).
+  EnginePin pin = ResolveEngine(owner);
+  done(pin.engine != nullptr ? pin.engine->Answer(line, /*record_stats=*/true)
+                             : std::string("ERR\tno snapshot generation available"));
 }
 
 RouterStats ShardRouter::Snapshot() const {

@@ -27,14 +27,18 @@ struct RouterOptions {
   /// (divided evenly), so `--cache N` means the same memory at any shard
   /// count. shared_stats/generation are overwritten per shard.
   QueryEngineOptions engine;
-  /// Per-shard batcher configuration (deadline budget, coalescing).
+  /// Per-shard batcher configuration. The batcher queues only what needs a
+  /// queue: the two legs of a scatter-gathered mutex, and every routed
+  /// request when admission control is on (deadline_budget_ms > 0). Its
+  /// coalescing (max_batch, max_wait_ms) and default_deadline_ms apply to
+  /// those requests only; every other request is answered inline.
   BatcherOptions batch;
 };
 
 /// Point-in-time router counters.
 struct RouterStats {
   uint64_t requests = 0;          ///< Submit() calls.
-  uint64_t direct = 0;            ///< Single-shard dispatches.
+  uint64_t direct = 0;            ///< Single-shard dispatches (inline or queued).
   uint64_t fanout = 0;            ///< Scatter-gathered mutex queries.
   uint64_t fanout_mismatch = 0;   ///< Fan-out legs that disagreed (bug tripwire).
   uint64_t local = 0;             ///< Answered inline (stats/metrics).
@@ -58,9 +62,16 @@ struct RouterStats {
 /// report that shard's slice as the whole and double-count the stats request
 /// itself. `metrics` is also answered inline: the registry is process-global.
 ///
-/// Ordering: Submit() never blocks and responses complete on pool threads in
-/// any order; callers needing per-connection ordering sequence responses
-/// themselves (NetServer's reorder buffer).
+/// Execution: a request owned by one shard is answered synchronously on the
+/// caller's thread against that shard's engine, pinned for the one request
+/// (a hot swap between two requests is fine: each answer comes from one
+/// generation that was live while it ran). Shard batchers run only where a
+/// queue does work: the legs of a split mutex, and every routed request
+/// under admission control, whose shedding decides on queue wait.
+///
+/// Ordering: Submit() never blocks; queued requests complete on pool threads
+/// in any order, so callers needing per-connection ordering sequence
+/// responses themselves (NetServer's reorder buffer).
 class ShardRouter {
  public:
   /// Single-snapshot serving; `snapshot` must outlive the router.
@@ -76,8 +87,10 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Routes one request line. `done` is invoked with the response exactly
-  /// once, from a pool worker or synchronously (shed/stopping/local answers);
-  /// it must not block.
+  /// once and must not block. It runs synchronously, before Submit returns,
+  /// for stats/metrics, for every single-shard request when
+  /// batch.deadline_budget_ms <= 0, and for queued requests that are shed;
+  /// otherwise (split mutex, admission mode) from a pool worker.
   void Submit(std::string line, RequestPriority priority,
               std::function<void(std::string)> done);
 
@@ -91,7 +104,8 @@ class ShardRouter {
   RouterStats Snapshot() const;
 
   /// Test hooks: hold/release dispatch on every shard batcher (used to force
-  /// queue buildup deterministically for overload tests).
+  /// queue buildup deterministically for overload tests). Only queued
+  /// requests are held; inline answers never wait.
   void PauseAll();
   void ResumeAll();
 

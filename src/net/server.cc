@@ -9,10 +9,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace semdrift {
 
@@ -20,6 +23,31 @@ namespace {
 
 constexpr uint64_t kListenKey = 0;
 constexpr uint64_t kWakeupKey = 1;
+
+/// Event-loop metrics, summed over every server in the process.
+struct NetMetrics {
+  MetricsRegistry::Counter wakeups;        ///< epoll_wait returns.
+  MetricsRegistry::Counter lines;          ///< Complete request lines decoded.
+  MetricsRegistry::Counter bytes_read;
+  MetricsRegistry::Counter bytes_written;
+  MetricsRegistry::Counter completions_inline;  ///< Answered inside Submit.
+  MetricsRegistry::Counter completions_posted;  ///< Came back via the eventfd.
+  MetricsRegistry::Counter backpressure_pauses;
+  MetricsRegistry::Counter loop_busy_ns;   ///< Loop time outside epoll_wait.
+};
+
+NetMetrics& GetNetMetrics() {
+  static NetMetrics metrics{
+      GlobalMetrics().RegisterCounter("net.wakeups"),
+      GlobalMetrics().RegisterCounter("net.lines"),
+      GlobalMetrics().RegisterCounter("net.bytes_read"),
+      GlobalMetrics().RegisterCounter("net.bytes_written"),
+      GlobalMetrics().RegisterCounter("net.completions.inline"),
+      GlobalMetrics().RegisterCounter("net.completions.posted"),
+      GlobalMetrics().RegisterCounter("net.backpressure_pauses"),
+      GlobalMetrics().RegisterCounter("net.loop_busy_ns")};
+  return metrics;
+}
 
 void WakeEventFd(int fd) {
   const uint64_t one = 1;
@@ -53,21 +81,33 @@ struct NetServer::Conn {
   explicit Conn(size_t max_line_bytes) : decoder(max_line_bytes) {}
 };
 
-/// Bridge from router callbacks (pool threads) to the loop thread. Shared by
-/// shared_ptr with every in-flight callback: after the server dies, `open`
-/// is false and late completions are dropped without touching freed state.
+/// Bridge from router callbacks to the loop thread. Shared by shared_ptr
+/// with every in-flight callback: after the server dies, `open` is false and
+/// late completions are dropped without touching freed state.
 struct NetServer::CompletionQueue {
-  std::mutex mu;
-  bool open = true;
-  int wake_fd = -1;
   struct Item {
     uint64_t conn_id;
     uint64_t seq;
     std::string response;
   };
+
+  /// Points at the queue while its loop thread is inside router->Submit: a
+  /// completion posted then ran synchronously on the loop thread.
+  static inline thread_local CompletionQueue* submitting = nullptr;
+  /// Synchronous completions of the current read drain; loop thread only.
+  std::vector<Item> inline_items;
+
+  std::mutex mu;
+  bool open = true;
+  int wake_fd = -1;
   std::vector<Item> items;
 
   void Post(uint64_t conn_id, uint64_t seq, std::string response) {
+    if (submitting == this) {
+      // No lock, no eventfd: HandleReadable delivers it after the drain.
+      inline_items.push_back(Item{conn_id, seq, std::move(response)});
+      return;
+    }
     std::lock_guard<std::mutex> lock(mu);
     if (!open) return;
     items.push_back(Item{conn_id, seq, std::move(response)});
@@ -80,6 +120,7 @@ struct NetServer::CompletionQueue {
 NetServer::NetServer(ShardRouter* router, NetServerOptions options)
     : router_(router), options_(std::move(options)) {
   if (options_.max_line_bytes == 0) options_.max_line_bytes = 1;
+  GetNetMetrics();  // Registered up front so `metrics` lists them at once.
 }
 
 NetServer::~NetServer() { Stop(); }
@@ -217,9 +258,12 @@ NetServerCounters NetServer::counters() const {
 }
 
 void NetServer::Loop() {
+  NetMetrics& metrics = GetNetMetrics();
   epoll_event events[64];
   while (!stop_.load(std::memory_order_relaxed)) {
     const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
+    const auto woke = std::chrono::steady_clock::now();
+    metrics.wakeups.Add();
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -255,6 +299,10 @@ void NetServer::Loop() {
       }
       if ((events[i].events & EPOLLIN) != 0) HandleReadable(conn);
     }
+    metrics.loop_busy_ns.Add(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - woke)
+            .count()));
   }
 }
 
@@ -285,9 +333,11 @@ void NetServer::HandleAccept() {
 void NetServer::HandleReadable(Conn* conn) {
   const uint64_t id = conn->id;
   char buf[16384];
+  bool at_cap = false;
   for (;;) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
+      GetNetMetrics().bytes_read.Add(static_cast<uint64_t>(n));
       conn->decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
       std::string line;
       for (;;) {
@@ -298,8 +348,16 @@ void NetServer::HandleReadable(Conn* conn) {
           SubmitLine(conn, std::string(), /*oversized=*/true);
         } else {
           lines_.fetch_add(1, std::memory_order_relaxed);
+          GetNetMetrics().lines.Add();
           SubmitLine(conn, std::move(line), /*oversized=*/false);
         }
+      }
+      // Stop after the chunk that reaches a cap; every line of it is already
+      // submitted, and level-triggered epoll reports the fd again once
+      // reading resumes.
+      if (OverCap(*conn)) {
+        at_cap = true;
+        break;
       }
       continue;
     }
@@ -309,20 +367,24 @@ void NetServer::HandleReadable(Conn* conn) {
       std::string residue;
       if (conn->decoder.TakeResidue(&residue)) {
         lines_.fetch_add(1, std::memory_order_relaxed);
+        GetNetMetrics().lines.Add();
         SubmitLine(conn, std::move(residue), /*oversized=*/false);
       }
       conn->read_closed = true;
+      DeliverInline(conn);
       if (!PumpResponses(conn)) return;  // May close a fully-drained conn.
       SetEpoll(conn);
       return;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    DeliverInline(conn);
     CloseConn(id);
     return;
   }
+  DeliverInline(conn);
   if (!PumpResponses(conn)) return;
-  UpdateReadInterest(conn);
+  UpdateReadInterest(conn, at_cap);
 }
 
 void NetServer::HandleWritable(Conn* conn) {
@@ -343,10 +405,24 @@ void NetServer::SubmitLine(Conn* conn, std::string line, bool oversized) {
   conn->inflight++;
   std::shared_ptr<CompletionQueue> queue = completions_;
   const uint64_t conn_id = conn->id;
+  CompletionQueue::submitting = queue.get();
   router_->Submit(std::move(line), options_.priority,
                   [queue, conn_id, seq](std::string response) {
                     queue->Post(conn_id, seq, std::move(response));
                   });
+  CompletionQueue::submitting = nullptr;
+}
+
+void NetServer::DeliverInline(Conn* conn) {
+  // Every synchronous completion of a drain belongs to the connection being
+  // read: it was posted inside that connection's SubmitLine.
+  std::vector<CompletionQueue::Item>& items = completions_->inline_items;
+  for (CompletionQueue::Item& item : items) {
+    conn->reorder.emplace(item.seq, std::move(item.response));
+  }
+  conn->inflight -= items.size();
+  GetNetMetrics().completions_inline.Add(items.size());
+  items.clear();
 }
 
 void NetServer::DrainCompletions() {
@@ -358,6 +434,7 @@ void NetServer::DrainCompletions() {
     std::lock_guard<std::mutex> lock(completions_->mu);
     items.swap(completions_->items);
   }
+  GetNetMetrics().completions_posted.Add(items.size());
   // Group flushing per connection: deliver every completion first, then pump
   // each touched connection once.
   std::vector<uint64_t> touched;
@@ -382,16 +459,25 @@ void NetServer::DrainCompletions() {
 }
 
 bool NetServer::PumpResponses(Conn* conn) {
+  std::string ready;
   while (!conn->reorder.empty() &&
          conn->reorder.begin()->first == conn->next_send) {
-    std::string response = std::move(conn->reorder.begin()->second);
+    std::string& response = conn->reorder.begin()->second;
+    if (ready.empty()) {
+      ready = std::move(response);
+    } else {
+      ready += response;
+    }
+    ready.push_back('\n');
     conn->reorder.erase(conn->reorder.begin());
-    response.push_back('\n');
-    conn->out.Push(std::move(response));
     conn->next_send++;
     responses_.fetch_add(1, std::memory_order_relaxed);
   }
-  switch (conn->out.Flush(conn->fd)) {
+  if (!ready.empty()) conn->out.Push(std::move(ready));
+  const size_t queued = conn->out.pending_bytes();
+  const WriteQueue::FlushResult flushed = conn->out.Flush(conn->fd);
+  GetNetMetrics().bytes_written.Add(queued - conn->out.pending_bytes());
+  switch (flushed) {
     case WriteQueue::FlushResult::kError:
       CloseConn(conn->id);
       return false;
@@ -415,19 +501,28 @@ bool NetServer::PumpResponses(Conn* conn) {
   return true;
 }
 
-void NetServer::UpdateReadInterest(Conn* conn) {
+bool NetServer::OverCap(const Conn& conn) const {
+  return conn.inflight >= options_.max_inflight_per_conn ||
+         conn.out.pending_bytes() >= options_.max_write_buffer_bytes;
+}
+
+void NetServer::UpdateReadInterest(Conn* conn, bool stopped_at_cap) {
   if (conn->read_closed) return;
-  const bool over = conn->inflight >= options_.max_inflight_per_conn ||
-                    conn->out.pending_bytes() >= options_.max_write_buffer_bytes;
-  if (over && !conn->paused) {
-    conn->paused = true;
-    backpressure_pauses_.fetch_add(1, std::memory_order_relaxed);
-    SetEpoll(conn);
+  if (OverCap(*conn)) {
+    if (!conn->paused) {
+      conn->paused = true;
+      SetEpoll(conn);
+      stopped_at_cap = true;
+    }
   } else if (conn->paused &&
              conn->inflight <= options_.max_inflight_per_conn / 2 &&
              conn->out.pending_bytes() <= options_.max_write_buffer_bytes / 2) {
     conn->paused = false;
     SetEpoll(conn);
+  }
+  if (stopped_at_cap) {
+    backpressure_pauses_.fetch_add(1, std::memory_order_relaxed);
+    GetNetMetrics().backpressure_pauses.Add();
   }
 }
 

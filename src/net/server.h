@@ -44,16 +44,24 @@ struct NetServerCounters {
 
 /// Non-blocking TCP/unix-socket front-end speaking the line protocol: one
 /// request line in, one response line out, pipelining allowed. A single
-/// epoll thread owns every connection; request execution happens on the
-/// router's shard batchers (pool threads), and completions come back through
-/// an eventfd-signalled queue.
+/// epoll thread owns every connection. Requests the router answers inside
+/// Submit (point verbs, stats, metrics) run on this thread; their responses
+/// are collected per read drain and placed in the connection's reorder
+/// buffer after it, with no lock and no eventfd, so one flush covers the
+/// drain and they still count as in flight until then. Requests the router
+/// queues (split mutex legs, admission mode) complete on pool threads and
+/// come back through an eventfd-signalled queue.
 ///
 /// Ordering guarantee: responses are written in request order per
-/// connection. Shards complete out of order, so each connection assigns a
-/// sequence number per request and holds completed responses in a reorder
-/// buffer until their turn. Oversized lines consume a sequence slot (their
-/// ERR is a local completion), which keeps the stream aligned for pipelined
-/// clients.
+/// connection. Queued requests complete out of order, so each connection
+/// assigns a sequence number per request and holds completed responses in a
+/// reorder buffer until their turn. Oversized lines consume a sequence slot
+/// (their ERR is a local completion), which keeps the stream aligned for
+/// pipelined clients.
+///
+/// Backpressure: a read drain stops after the chunk that brings its
+/// connection to max_inflight_per_conn or max_write_buffer_bytes, so one
+/// pipelining client cannot monopolize the loop.
 ///
 /// Partial-I/O safety: reads feed an incremental LineDecoder (verbs split
 /// across reads reassemble); writes go through a WriteQueue surviving
@@ -92,11 +100,20 @@ class NetServer {
   void DrainCompletions();
   /// Submits one decoded line (or an oversized-line error) for `conn`.
   void SubmitLine(Conn* conn, std::string line, bool oversized);
+  /// Moves the synchronous completions of the current drain into `conn`'s
+  /// reorder buffer.
+  void DeliverInline(Conn* conn);
   /// Moves any in-order responses from the reorder buffer to the write
-  /// queue, flushes, and closes a drained half-closed connection. Returns
-  /// false when the connection was closed (the pointer is then dead).
+  /// queue as one chunk (one send for the lot), flushes, and closes a
+  /// drained half-closed connection. Returns false when the connection was
+  /// closed (the pointer is then dead).
   bool PumpResponses(Conn* conn);
-  void UpdateReadInterest(Conn* conn);
+  /// True when `conn` is at its in-flight or write-buffer cap.
+  bool OverCap(const Conn& conn) const;
+  /// Pauses reading at a cap and resumes below half of both. Counts a
+  /// backpressure pause when it pauses or when `stopped_at_cap` (a read
+  /// drain stopped early at a cap).
+  void UpdateReadInterest(Conn* conn, bool stopped_at_cap = false);
   /// Re-arms the connection's epoll interest from its paused/read_closed/
   /// want_write flags.
   void SetEpoll(Conn* conn);

@@ -46,6 +46,9 @@ Batcher::Batcher(QueryEngine* engine, BatcherOptions options)
 
 Batcher::Batcher(EngineSource source, BatcherOptions options)
     : source_(std::move(source)), options_(options) {
+  // Registered up front: a batcher that has not queued anything yet still
+  // exports batch.* (a router whose requests all answer inline is one).
+  GetBatchMetrics();
   if (options_.max_batch == 0) options_.max_batch = 1;
   paused_ = options_.start_paused;
   dispatcher_ = std::thread([this] { DispatchLoop(); });

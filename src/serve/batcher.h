@@ -16,6 +16,9 @@
 
 namespace semdrift {
 
+/// Coalescing and admission settings of one Batcher. Behind ShardRouter only
+/// queued requests see them: split mutex legs, and every routed request when
+/// deadline_budget_ms > 0; other socket requests are answered inline.
 struct BatcherOptions {
   /// Dispatch as soon as this many requests are queued.
   size_t max_batch = 64;

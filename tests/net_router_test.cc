@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,20 @@ std::string Ask(ShardRouter& router, const std::string& line,
   router.Submit(line, priority,
                 [&promise](std::string r) { promise.set_value(std::move(r)); });
   return future.get();
+}
+
+/// Submits without waiting; the promise outlives a callback that runs after
+/// the test gave up on it.
+std::future<std::string> SubmitAsync(ShardRouter& router, const std::string& line) {
+  auto promise = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> future = promise->get_future();
+  router.Submit(line, RequestPriority::kNormal,
+                [promise](std::string r) { promise->set_value(std::move(r)); });
+  return future;
+}
+
+bool Ready(const std::future<std::string>& future) {
+  return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
 /// Pulls `count:` for one verb out of a stats response line.
@@ -147,6 +163,64 @@ TEST_F(RouterTest, MutexFanoutAgreesAcrossShards) {
   // Both shards answer from the same immutable snapshot: any mismatch is a
   // determinism bug, and this tripwire is exactly why the shadow leg runs.
   EXPECT_EQ(stats.fanout_mismatch, 0u);
+}
+
+TEST_F(RouterTest, SingleOwnerRequestsAnswerBeforeSubmitReturns) {
+  QueryEngine direct(reader_);
+  RouterOptions options;
+  options.num_shards = 4;
+  options.batch.start_paused = true;  // A queued request would wait here.
+  ShardRouter router(reader_, options);
+  for (const std::string& line : *workload_) {
+    std::future<std::string> answer = SubmitAsync(router, line);
+    ASSERT_TRUE(Ready(answer)) << line;
+    EXPECT_EQ(answer.get(), direct.Answer(line)) << line;
+  }
+  EXPECT_EQ(router.Snapshot().direct, workload_->size());
+}
+
+TEST_F(RouterTest, SplitMutexStaysQueuedUntilResume) {
+  RouterOptions options;
+  options.num_shards = 4;
+  options.batch.start_paused = true;
+  ShardRouter router(reader_, options);
+  std::string line;
+  for (size_t i = 1; i < concepts_->size() && line.empty(); ++i) {
+    if (router.OwnerOf((*concepts_)[0]) != router.OwnerOf((*concepts_)[i])) {
+      line = "mutex\t" + (*concepts_)[0] + "\t" + (*concepts_)[i];
+    }
+  }
+  ASSERT_FALSE(line.empty()) << "no concept pair split across shards";
+  std::future<std::string> answer = SubmitAsync(router, line);
+  EXPECT_EQ(answer.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  router.ResumeAll();
+  QueryEngine direct(reader_);
+  EXPECT_EQ(answer.get(), direct.Answer(line));
+  EXPECT_EQ(router.Snapshot().fanout, 1u);
+}
+
+TEST_F(RouterTest, AdmissionControlKeepsSingleOwnerRequestsQueued) {
+  RouterOptions options;
+  options.num_shards = 2;
+  options.batch.start_paused = true;
+  options.batch.deadline_budget_ms = 60000;  // Admission on; nothing is shed.
+  options.batch.default_deadline_ms = 0;
+  ShardRouter router(reader_, options);
+  std::vector<std::future<std::string>> answers;
+  for (const std::string& line : *workload_) {
+    answers.push_back(SubmitAsync(router, line));
+  }
+  EXPECT_EQ(answers.front().wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  for (const std::future<std::string>& answer : answers) {
+    EXPECT_FALSE(Ready(answer));
+  }
+  router.ResumeAll();
+  QueryEngine direct(reader_);
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(answers[i].get(), direct.Answer((*workload_)[i])) << (*workload_)[i];
+  }
 }
 
 TEST_F(RouterTest, MetricsAnsweredInline) {

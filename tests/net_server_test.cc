@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -10,6 +12,7 @@
 #include "net/net_client.h"
 #include "net/router.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_manager.h"
@@ -36,8 +39,10 @@ class NetServerTest : public ::testing::Test {
     ASSERT_TRUE(reader.ok());
     reader_ = new SnapshotReader(std::move(*reader));
     workload_ = new std::vector<std::string>();
+    concepts_ = new std::vector<std::string>();
     for (uint32_t c = 0; c < reader_->num_concepts(); ++c) {
       const std::string name(reader_->ConceptName(c));
+      concepts_->push_back(name);
       workload_->push_back("instances-of\t" + name + "\t4");
       if (reader_->ConceptEnd(c) > reader_->ConceptBegin(c)) {
         const std::string member(
@@ -53,18 +58,35 @@ class NetServerTest : public ::testing::Test {
     delete image_b_;
     delete reader_;
     delete workload_;
+    delete concepts_;
+  }
+
+  /// Tab-form mutex lines whose two concepts `router` places on different
+  /// shards (scatter-gathered through the shard batchers).
+  static std::vector<std::string> SplitMutexLines(const ShardRouter& router) {
+    std::vector<std::string> lines;
+    for (size_t i = 0; i + 1 < concepts_->size(); ++i) {
+      const std::string& a = (*concepts_)[i];
+      const std::string& b = (*concepts_)[i + 1];
+      if (router.OwnerOf(a) != router.OwnerOf(b)) {
+        lines.push_back("mutex\t" + a + "\t" + b);
+      }
+    }
+    return lines;
   }
 
   static std::string* image_a_;
   static std::string* image_b_;
   static SnapshotReader* reader_;
   static std::vector<std::string>* workload_;
+  static std::vector<std::string>* concepts_;
 };
 
 std::string* NetServerTest::image_a_ = nullptr;
 std::string* NetServerTest::image_b_ = nullptr;
 SnapshotReader* NetServerTest::reader_ = nullptr;
 std::vector<std::string>* NetServerTest::workload_ = nullptr;
+std::vector<std::string>* NetServerTest::concepts_ = nullptr;
 
 TEST_F(NetServerTest, RoundTripsAreByteIdenticalToDirectEngine) {
   RouterOptions router_options;
@@ -90,20 +112,35 @@ TEST_F(NetServerTest, PipelinedResponsesComeBackInRequestOrder) {
   NetServer server(&router);
   ASSERT_TRUE(server.Start().ok());
 
+  // Point verbs answer inline, in order by construction; split mutex lines
+  // go through the shard batchers and complete after the lines behind them.
+  const std::vector<std::string> split = SplitMutexLines(router);
+  ASSERT_FALSE(split.empty()) << "no concept pair split across shards";
+  std::vector<std::string> lines;
+  uint64_t split_per_round = 0;
+  for (size_t i = 0; i < workload_->size(); ++i) {
+    lines.push_back((*workload_)[i]);
+    if (i % 3 == 0) {
+      lines.push_back(split[split_per_round++ % split.size()]);
+    }
+  }
+
   auto client = LineClient::Connect(server.endpoint());
   ASSERT_TRUE(client.ok());
   // ...but the connection's reorder buffer must restore request order.
   for (int round = 0; round < 3; ++round) {
-    for (const std::string& line : *workload_) {
+    for (const std::string& line : lines) {
       ASSERT_TRUE(client->SendLine(line).ok());
     }
     QueryEngine direct(reader_);
-    for (const std::string& line : *workload_) {
+    for (const std::string& line : lines) {
       auto response = client->ReadLine();
       ASSERT_TRUE(response.ok()) << response.status().ToString();
       EXPECT_EQ(*response, direct.Answer(line)) << line;
     }
   }
+  EXPECT_EQ(router.Snapshot().fanout, 3 * split_per_round);
+  EXPECT_EQ(router.Snapshot().fanout_mismatch, 0u);
 }
 
 TEST_F(NetServerTest, OversizedLineAnsweredInSlotWithoutDesync) {
@@ -207,6 +244,116 @@ TEST_F(NetServerTest, BackpressurePausesReadsWithoutLosingOrder) {
   }
   writer.join();
   EXPECT_GT(server.counters().backpressure_pauses, 0u);
+}
+
+TEST_F(NetServerTest, ReadDrainStopsAtInflightCap) {
+  RouterOptions router_options;
+  router_options.num_shards = 1;
+  router_options.batch.start_paused = true;  // Queued requests stay in flight.
+  router_options.batch.deadline_budget_ms = 60000;  // Queue everything, shed nothing.
+  router_options.batch.default_deadline_ms = 0;
+  ShardRouter router(reader_, router_options);
+  NetServerOptions options;
+  options.max_inflight_per_conn = 4;
+  NetServer server(&router, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int kLines = 2000;
+  std::string payload;
+  size_t shortest = SIZE_MAX;
+  for (int i = 0; i < kLines; ++i) {
+    const std::string& line = (*workload_)[i % workload_->size()];
+    payload += line + "\n";
+    shortest = std::min(shortest, line.size() + 1);
+  }
+  // One 16 KB read completes at most this many lines (the first may have
+  // started in an earlier read).
+  const uint64_t one_read = 16384 / shortest + 1;
+  ASSERT_LT(options.max_inflight_per_conn + one_read, static_cast<uint64_t>(kLines));
+
+  auto client = LineClient::Connect(server.endpoint());
+  ASSERT_TRUE(client.ok());
+  // The server stops reading mid-payload, so the write may block until the
+  // router resumes.
+  std::thread writer([&] { ASSERT_TRUE(client->SendRaw(payload).ok()); });
+  for (int spin = 0; spin < 1000 && router.Snapshot().requests == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // Time for a drain that ignored the cap to read on.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LE(router.Snapshot().requests, options.max_inflight_per_conn + one_read);
+  EXPECT_GT(server.counters().backpressure_pauses, 0u);
+
+  router.ResumeAll();
+  QueryEngine direct(reader_);
+  for (int i = 0; i < kLines; ++i) {
+    auto response = client->ReadLine();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(*response, direct.Answer((*workload_)[i % workload_->size()])) << i;
+  }
+  writer.join();
+  EXPECT_EQ(router.Snapshot().requests, static_cast<uint64_t>(kLines));
+}
+
+TEST_F(NetServerTest, PointRequestsCompleteInlineOnOneShard) {
+  RouterOptions router_options;
+  router_options.num_shards = 1;
+  ShardRouter router(reader_, router_options);
+  NetServer server(&router);
+  ASSERT_TRUE(server.Start().ok());
+  const MetricsRegistry& metrics = GlobalMetrics();
+  const uint64_t lines = metrics.CounterValue("net.lines");
+  const uint64_t inline_done = metrics.CounterValue("net.completions.inline");
+  const uint64_t posted = metrics.CounterValue("net.completions.posted");
+  const uint64_t read = metrics.CounterValue("net.bytes_read");
+
+  auto client = LineClient::Connect(server.endpoint());
+  ASSERT_TRUE(client.ok());
+  uint64_t sent_bytes = 0;
+  for (const std::string& line : *workload_) {
+    ASSERT_TRUE(client->SendLine(line).ok());
+    sent_bytes += line.size() + 1;
+  }
+  QueryEngine direct(reader_);
+  for (const std::string& line : *workload_) {
+    auto response = client->ReadLine();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(*response, direct.Answer(line)) << line;
+  }
+  const uint64_t n = workload_->size();
+  EXPECT_EQ(metrics.CounterValue("net.lines") - lines, n);
+  EXPECT_EQ(metrics.CounterValue("net.completions.inline") - inline_done, n);
+  EXPECT_EQ(metrics.CounterValue("net.completions.posted") - posted, 0u);
+  EXPECT_EQ(metrics.CounterValue("net.bytes_read") - read, sent_bytes);
+  EXPECT_GT(metrics.CounterValue("net.wakeups"), 0u);
+  // The `metrics` verb exports the loop's metrics.
+  auto dump = client->RoundTrip("metrics");
+  ASSERT_TRUE(dump.ok());
+  for (const char* name : {"net.wakeups", "net.lines", "net.bytes_read",
+                           "net.bytes_written", "net.completions.inline",
+                           "net.completions.posted", "net.backpressure_pauses",
+                           "net.loop_busy_ns"}) {
+    EXPECT_NE(dump->find(std::string("\"") + name + "\""), std::string::npos) << name;
+  }
+}
+
+TEST_F(NetServerTest, SplitMutexCompletesThroughTheEventfd) {
+  RouterOptions router_options;
+  router_options.num_shards = 4;
+  ShardRouter router(reader_, router_options);
+  NetServer server(&router);
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<std::string> split = SplitMutexLines(router);
+  ASSERT_FALSE(split.empty()) << "no concept pair split across shards";
+  const uint64_t posted = GlobalMetrics().CounterValue("net.completions.posted");
+
+  auto client = LineClient::Connect(server.endpoint());
+  ASSERT_TRUE(client.ok());
+  auto response = client->RoundTrip(split.front());
+  ASSERT_TRUE(response.ok());
+  QueryEngine direct(reader_);
+  EXPECT_EQ(*response, direct.Answer(split.front()));
+  EXPECT_GE(GlobalMetrics().CounterValue("net.completions.posted") - posted, 1u);
 }
 
 TEST_F(NetServerTest, ShedsWithOverloadedUnderAdmissionLadder) {

@@ -6,12 +6,24 @@
 #include <vector>
 
 #include "eval/experiment.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 
 namespace semdrift {
 namespace {
+
+// Declared first so it runs before any Batcher in this binary has queued a
+// request.
+TEST(BatcherMetricsTest, ConstructionRegistersBatchMetrics) {
+  ASSERT_TRUE(GlobalMetrics().HistogramValues("batch.queue_wait_ns").buckets.empty())
+      << "a batcher already ran in this process";
+  Batcher batcher(EngineSource([] { return EnginePin{}; }));
+  EXPECT_FALSE(GlobalMetrics().HistogramValues("batch.queue_wait_ns").buckets.empty());
+  EXPECT_NE(GlobalMetrics().ToJson().find("\"batch.queue_wait_ns\""),
+            std::string::npos);
+}
 
 /// Concurrency-focused suite (runs under TSan via tools/check.sh): N client
 /// threads hammering one QueryEngine through the Batcher must produce

@@ -17,8 +17,9 @@
 #   tools/check.sh --net [jobs]       network soak under ASan: bench_serve's
 #                                     multi-process socket phase (8 client
 #                                     processes against shard counts 1/2/4)
-#                                     plus the 8-client server test, gating
-#                                     zero non-OK responses over the wire
+#                                     plus the router and 8-client server
+#                                     tests, gating zero non-OK responses
+#                                     over the wire
 #   tools/check.sh --stream [jobs]    streaming gate: the incremental-vs-batch
 #                                     differential under ASan (final KB and
 #                                     snapshot byte-identical across epoch
@@ -141,15 +142,18 @@ if [[ "$MODE" == "net" ]]; then
   echo "== Net: multi-process socket serving under ASan =="
   cmake -B build-asan -S . -DSEMDRIFT_SANITIZE="address;undefined" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$JOBS" --target bench_serve net_server_test
+  cmake --build build-asan -j "$JOBS" --target bench_serve net_router_test \
+    net_server_test
   # The epoll front-end, router and reorder buffer under concurrent client
   # processes: any memory error, any non-OK response over the wire, or an
   # mmap cold open slower than the eager read path fails the gate. Swaps are
   # trimmed — the soak mode owns hot-swap torture; this mode owns sockets.
   build-asan/bench/bench_serve --scale 0.1 --swaps 10 --net-seconds 3 \
     --out build-asan/BENCH_serve_net.json
-  # The in-process suite covers the corners a clean bench run cannot reach:
-  # abrupt disconnects, oversized lines, backpressure, shed, hot swap mid-load.
+  # The in-process suites cover the corners a clean bench run cannot reach:
+  # abrupt disconnects, oversized lines, backpressure, shed, hot swap mid-load,
+  # and the router running engine work on the caller's thread.
+  build-asan/tests/net_router_test
   build-asan/tests/net_server_test
   echo "OK: socket serving held under ASan across shard counts 1/2/4"
   exit 0

@@ -74,8 +74,12 @@
 //       of stdin/stdout (epoll front-end, pipelining with responses in
 //       request order); --shards N partitions the concept space over N
 //       workers by consistent hash, byte-identical answers at any shard
-//       count, with `stats` merged across shards. SIGINT/SIGTERM shut the
-//       socket server down cleanly.
+//       count, with `stats` merged across shards. Under --listen, requests
+//       owned by one shard are answered inline on the event-loop thread;
+//       --max-batch, --max-wait-ms and --deadline-ms apply only to queued
+//       requests: the two legs of a tab-form mutex whose concepts live on
+//       different shards, and every request when --deadline-budget-ms > 0.
+//       SIGINT/SIGTERM shut the socket server down cleanly.
 //   semdrift query (--snapshot s.bin [--mmap] | --connect EP) <verb> <args...>
 //       One-shot: answer a single query and exit. --snapshot opens the
 //       file directly; --connect round-trips the query to a serve --listen
@@ -248,9 +252,14 @@ int Usage() {
       "               [--metrics-out M.json]\n"
       "  semdrift parse --world W   (sentences on stdin)\n"
       "  semdrift serve --snapshot S | --publish-dir D [--poll-ms N]\n"
-      "               [--cache N] [--cache-shards N]\n"
+      "               [--mmap] [--cache N] [--cache-shards N]\n"
       "               [--max-batch N] [--max-wait-ms N] [--deadline-ms N]\n"
       "               [--deadline-budget-ms N] [--stats-interval-ms N]\n"
+      "               [--listen tcp:host:port|unix:/path [--shards N]]\n"
+      "               (with --listen, --max-batch, --max-wait-ms and\n"
+      "               --deadline-ms apply only to queued requests: split\n"
+      "               mutex legs, and all requests when\n"
+      "               --deadline-budget-ms > 0)\n"
       "  semdrift query --snapshot S <verb> <args...>\n"
       "               (exit: 0 OK, 1 ERR, 2 usage, 3 NOT_FOUND, 4 OVERLOADED)\n"
       "  semdrift snapshot-verify <base> [delta...]\n"
