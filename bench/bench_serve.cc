@@ -203,7 +203,12 @@ SwapResult RunSwapPhase(const SnapshotReader& snap,
     return result;
   }
 
-  const SnapshotParts parts_a = PartsFromReader(snap);
+  auto recovered = PartsFromReader(snap);
+  if (!recovered.ok()) {
+    result.error = "parts recovery failed: " + recovered.status().ToString();
+    return result;
+  }
+  const SnapshotParts parts_a = std::move(*recovered);
   SnapshotParts parts_b = parts_a;
   if (!parts_b.score.empty()) parts_b.score[0] += 1.0;
   auto image_a = BuildSnapshotImage(parts_a);

@@ -165,9 +165,10 @@ Status WriteServingSnapshotDelta(const KnowledgeBase& kb, const World& world,
   if (!base_bytes.ok()) return base_bytes.status();
   auto base_reader = SnapshotReader::OpenFromBuffer(*base_bytes, base_path);
   if (!base_reader.ok()) return base_reader.status();
-  const SnapshotParts base_parts = PartsFromReader(*base_reader);
+  auto base_parts = PartsFromReader(*base_reader);
+  if (!base_parts.ok()) return base_parts.status();
   const SnapshotParts next_parts = CompileSnapshotParts(kb, world, health, options);
-  auto delta = DiffSnapshotParts(base_parts, next_parts);
+  auto delta = DiffSnapshotParts(*base_parts, next_parts);
   if (!delta.ok()) return delta.status();
   delta->base_generation = base_generation;
   delta->base_crc32 = Crc32Of(*base_bytes);

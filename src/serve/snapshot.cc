@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -81,24 +80,29 @@ std::string SectionName(int i) {
   return name;
 }
 
-// -- Little-endian append/read helpers --------------------------------------
+// -- Little-endian store/read helpers ---------------------------------------
 
-void AppendU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, 4);
+/// Stores `v` at `p` little-endian and returns the end of the store.
+char* Put(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p + 4;
 }
 
-void AppendU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(b, 8);
+char* Put(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p + 8;
 }
 
-void AppendF64(std::string* out, double v) {
+char* Put(char* p, double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
+  return Put(p, bits);
+}
+
+template <typename T>
+char* PutAll(char* p, const std::vector<T>& values) {
+  for (const T& v : values) p = Put(p, v);
+  return p;
 }
 
 uint32_t ReadU32(const char* p) {
@@ -124,29 +128,81 @@ uint64_t MutexKey(uint32_t a, uint32_t b) {
 bool Finite(double v) { return v == v && v - v == 0.0; }
 
 /// Interned name table: u32 offsets[n+1] into the blob, then the blob.
-std::string BuildNameSection(size_t n,
-                             const std::function<const std::string&(size_t)>& name) {
-  std::string payload;
-  std::string blob;
-  std::vector<uint32_t> offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    offsets[i] = static_cast<uint32_t>(blob.size());
-    blob += name(i);
+std::string BuildNameSection(const std::vector<std::string_view>& names) {
+  size_t blob_bytes = 0;
+  for (std::string_view name : names) blob_bytes += name.size();
+  std::string payload(4 * (names.size() + 1) + blob_bytes, '\0');
+  char* offsets = payload.data();
+  char* blob = offsets + 4 * (names.size() + 1);
+  uint32_t offset = 0;
+  for (std::string_view name : names) {
+    offsets = Put(offsets, offset);
+    blob = std::copy(name.begin(), name.end(), blob);
+    offset += static_cast<uint32_t>(name.size());
   }
-  offsets[n] = static_cast<uint32_t>(blob.size());
-  payload.reserve(4 * offsets.size() + blob.size());
-  for (uint32_t o : offsets) AppendU32(&payload, o);
-  payload += blob;
+  Put(offsets, offset);
   return payload;
 }
 
+/// Stores the name-sorted permutation of `names` (ties by id) at `out` and
+/// returns its end. Most comparisons are settled by one integer: the
+/// zero-padded big-endian 8-byte prefix orders two names exactly as their
+/// first eight bytes do, and only equal prefixes fall back to the full
+/// names, then the ids.
+char* PutNameSort(const std::vector<std::string_view>& names, char* out) {
+  struct Key {
+    uint64_t prefix;
+    uint32_t id;
+  };
+  std::vector<Key> keys(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    const std::string_view name = names[i];
+    uint64_t prefix = 0;
+    for (size_t b = 0; b < 8; ++b) {
+      const unsigned byte = b < name.size() ? static_cast<unsigned char>(name[b]) : 0u;
+      prefix = (prefix << 8) | byte;
+    }
+    keys[i] = Key{prefix, static_cast<uint32_t>(i)};
+  }
+  std::sort(keys.begin(), keys.end(), [&](const Key& a, const Key& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    const int cmp = names[a.id].compare(names[b.id]);
+    return cmp != 0 ? cmp < 0 : a.id < b.id;
+  });
+  for (const Key& key : keys) out = Put(out, key.id);
+  return out;
+}
+
 }  // namespace
+
+// -- Names block -------------------------------------------------------------
+
+std::shared_ptr<const SnapshotNames> SnapshotNames::Build(
+    const std::vector<std::string_view>& concept_names,
+    const std::vector<std::string_view>& instance_names) {
+  std::shared_ptr<SnapshotNames> names(new SnapshotNames());
+  names->num_concepts_ = concept_names.size();
+  names->num_instances_ = instance_names.size();
+  names->concept_table_ = BuildNameSection(concept_names);
+  names->instance_table_ = BuildNameSection(instance_names);
+  names->name_sort_.resize(4 * (concept_names.size() + instance_names.size()));
+  PutNameSort(instance_names, PutNameSort(concept_names, names->name_sort_.data()));
+  return names;
+}
+
+bool SnapshotNames::SameAs(const SnapshotNames& other) const {
+  return num_concepts_ == other.num_concepts_ &&
+         num_instances_ == other.num_instances_ &&
+         concept_table_ == other.concept_table_ &&
+         instance_table_ == other.instance_table_ && name_sort_ == other.name_sort_;
+}
 
 // -- Writer ------------------------------------------------------------------
 
 SnapshotParts CompileSnapshotParts(const KnowledgeBase& kb, const World& world,
                                    const RunHealthReport* health,
-                                   const SnapshotOptions& options) {
+                                   const SnapshotOptions& options,
+                                   std::shared_ptr<const SnapshotNames> names) {
   const size_t nc = world.num_concepts();
   const size_t ni = world.num_instances();
   ScopedSpan span(&GlobalTrace(), "snapshot.compile");
@@ -154,15 +210,18 @@ SnapshotParts CompileSnapshotParts(const KnowledgeBase& kb, const World& world,
   span.AddTag("instances", static_cast<uint64_t>(ni));
 
   SnapshotParts parts;
-  parts.concept_names.reserve(nc);
-  for (size_t i = 0; i < nc; ++i) {
-    parts.concept_names.push_back(world.ConceptName(ConceptId(static_cast<uint32_t>(i))));
+  if (names == nullptr) {
+    std::vector<std::string_view> concept_names(nc);
+    for (size_t i = 0; i < nc; ++i) {
+      concept_names[i] = world.ConceptName(ConceptId(static_cast<uint32_t>(i)));
+    }
+    std::vector<std::string_view> instance_names(ni);
+    for (size_t i = 0; i < ni; ++i) {
+      instance_names[i] = world.InstanceName(InstanceId(static_cast<uint32_t>(i)));
+    }
+    names = SnapshotNames::Build(concept_names, instance_names);
   }
-  parts.instance_names.reserve(ni);
-  for (size_t i = 0; i < ni; ++i) {
-    parts.instance_names.push_back(
-        world.InstanceName(InstanceId(static_cast<uint32_t>(i))));
-  }
+  parts.names = std::move(names);
 
   // Score every concept over the final KB (checked: a non-converged walk
   // yields capped finite scores, never NaN in the score column). Fans out
@@ -252,6 +311,9 @@ namespace {
 /// builder, so a delta applied to the wrong base can never reach the
 /// counting sorts below with out-of-range ids.
 Status CheckParts(const SnapshotParts& parts) {
+  if (parts.names == nullptr) {
+    return Status::Internal("snapshot: parts carry no names block");
+  }
   const size_t nc = parts.num_concepts();
   const size_t ni = parts.num_instances();
   const uint64_t np = parts.num_pairs();
@@ -309,144 +371,111 @@ Status CheckParts(const SnapshotParts& parts) {
 Result<std::string> BuildSnapshotImage(const SnapshotParts& parts) {
   Status sound = CheckParts(parts);
   if (!sound.ok()) return sound;
+  const SnapshotNames& names = *parts.names;
   const size_t nc = parts.num_concepts();
   const size_t ni = parts.num_instances();
   const uint64_t np = parts.num_pairs();
+  const uint64_t nm = parts.mutex_keys.size();
+
+  // Every payload size follows from the counts, so the file is laid out
+  // first and each section is encoded in place.
+  const uint64_t sizes[kNumSections] = {
+      names.concept_table().size(), names.instance_table().size(),
+      8 * (nc + 1) + 4 * np,        4 * np,
+      8 * np,                       8 * np,
+      8 * (ni + 1) + 8 * np,        nc,
+      24 + 16 * nm,                 names.name_sort().size()};
+  uint64_t offsets[kNumSections];
+  uint64_t cursor = kHeaderBytes + kNumSections * kSectionEntryBytes + 8;
+  for (int i = 0; i < kNumSections; ++i) {
+    offsets[i] = cursor;
+    cursor = Align8(cursor + sizes[i]);
+  }
+  const uint64_t total_bytes = cursor + kFooterBytes;
+  std::string file(total_bytes, '\0');  // Zero padding between sections.
+  auto section = [&](int i) { return file.data() + offsets[i]; };
+
+  // The world-constant sections come verbatim from the names block.
+  std::copy(names.concept_table().begin(), names.concept_table().end(),
+            section(kSecConceptNames));
+  std::copy(names.instance_table().begin(), names.instance_table().end(),
+            section(kSecInstanceNames));
+  std::copy(names.name_sort().begin(), names.name_sort().end(), section(kSecNameSort));
+
+  PutAll(PutAll(section(kSecForwardCsr), parts.fwd_rows), parts.fwd_instance);
 
   // Rank slices: each concept's pairs re-ordered by (score desc, id asc).
-  std::vector<uint32_t> rank;
-  rank.reserve(np);
-  for (size_t ci = 0; ci < nc; ++ci) {
-    const uint64_t base = parts.fwd_rows[ci];
-    std::vector<uint32_t> order(parts.fwd_rows[ci + 1] - base);
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<uint32_t>(base + i);
+  {
+    char* out = section(kSecRank);
+    std::vector<uint32_t> order;
+    for (size_t ci = 0; ci < nc; ++ci) {
+      const uint64_t base = parts.fwd_rows[ci];
+      order.resize(parts.fwd_rows[ci + 1] - base);
+      for (size_t i = 0; i < order.size(); ++i) {
+        order[i] = static_cast<uint32_t>(base + i);
+      }
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        if (parts.score[a] != parts.score[b]) return parts.score[a] > parts.score[b];
+        return parts.fwd_instance[a] < parts.fwd_instance[b];
+      });
+      out = PutAll(out, order);
     }
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      if (parts.score[a] != parts.score[b]) return parts.score[a] > parts.score[b];
-      return parts.fwd_instance[a] < parts.fwd_instance[b];
-    });
-    rank.insert(rank.end(), order.begin(), order.end());
   }
+
+  PutAll(section(kSecScores), parts.score);
+  PutAll(PutAll(section(kSecSupport), parts.support), parts.iter1);
 
   // Inverse CSR by counting sort; iterating forward pairs in (concept asc,
   // instance asc) order makes every inverse row concept-sorted for free.
-  std::vector<uint64_t> inv_rows(ni + 1, 0);
-  for (uint32_t e : parts.fwd_instance) inv_rows[e + 1]++;
-  for (size_t i = 1; i <= ni; ++i) inv_rows[i] += inv_rows[i - 1];
-  std::vector<uint32_t> inv_concept(np, 0);
-  std::vector<uint32_t> inv_pair(np, 0);
   {
-    std::vector<uint64_t> next(inv_rows.begin(), inv_rows.end() - 1);
+    std::vector<uint64_t> inv_rows(ni + 1, 0);
+    for (uint32_t e : parts.fwd_instance) inv_rows[e + 1]++;
+    for (size_t i = 1; i <= ni; ++i) inv_rows[i] += inv_rows[i - 1];
+    char* inv_concept = PutAll(section(kSecInverseCsr), inv_rows);
+    char* inv_pair = inv_concept + 4 * np;
+    // From here inv_rows[e] is the next free slot of instance e's row.
     for (size_t ci = 0; ci < nc; ++ci) {
       for (uint64_t j = parts.fwd_rows[ci]; j < parts.fwd_rows[ci + 1]; ++j) {
-        uint64_t slot = next[parts.fwd_instance[j]]++;
-        inv_concept[slot] = static_cast<uint32_t>(ci);
-        inv_pair[slot] = static_cast<uint32_t>(j);
+        const uint64_t slot = inv_rows[parts.fwd_instance[j]]++;
+        Put(inv_concept + 4 * slot, static_cast<uint32_t>(ci));
+        Put(inv_pair + 4 * slot, static_cast<uint32_t>(j));
       }
     }
   }
 
-  // Name-sorted permutations for allocation-free name lookup. Ties break by
-  // id so the permutation is a pure function of the name tables.
-  std::vector<uint32_t> concept_by_name(nc), instance_by_name(ni);
-  for (size_t i = 0; i < nc; ++i) concept_by_name[i] = static_cast<uint32_t>(i);
-  for (size_t i = 0; i < ni; ++i) instance_by_name[i] = static_cast<uint32_t>(i);
-  std::sort(concept_by_name.begin(), concept_by_name.end(),
-            [&](uint32_t a, uint32_t b) {
-              if (parts.concept_names[a] != parts.concept_names[b]) {
-                return parts.concept_names[a] < parts.concept_names[b];
-              }
-              return a < b;
-            });
-  std::sort(instance_by_name.begin(), instance_by_name.end(),
-            [&](uint32_t a, uint32_t b) {
-              if (parts.instance_names[a] != parts.instance_names[b]) {
-                return parts.instance_names[a] < parts.instance_names[b];
-              }
-              return a < b;
-            });
-
-  // -- Assemble section payloads --------------------------------------------
-
-  std::string sections[kNumSections];
-  sections[kSecConceptNames] = BuildNameSection(
-      nc, [&](size_t i) -> const std::string& { return parts.concept_names[i]; });
-  sections[kSecInstanceNames] = BuildNameSection(
-      ni, [&](size_t i) -> const std::string& { return parts.instance_names[i]; });
+  std::copy(parts.flags.begin(), parts.flags.end(), section(kSecConceptMeta));
   {
-    std::string& s = sections[kSecForwardCsr];
-    for (uint64_t r : parts.fwd_rows) AppendU64(&s, r);
-    for (uint32_t e : parts.fwd_instance) AppendU32(&s, e);
-  }
-  for (uint32_t r : rank) AppendU32(&sections[kSecRank], r);
-  for (double v : parts.score) AppendF64(&sections[kSecScores], v);
-  {
-    std::string& s = sections[kSecSupport];
-    for (uint32_t v : parts.support) AppendU32(&s, v);
-    for (uint32_t v : parts.iter1) AppendU32(&s, v);
-  }
-  {
-    std::string& s = sections[kSecInverseCsr];
-    for (uint64_t r : inv_rows) AppendU64(&s, r);
-    for (uint32_t c : inv_concept) AppendU32(&s, c);
-    for (uint32_t p : inv_pair) AppendU32(&s, p);
-  }
-  sections[kSecConceptMeta].assign(reinterpret_cast<const char*>(parts.flags.data()),
-                                   parts.flags.size());
-  {
-    std::string& s = sections[kSecMutex];
-    AppendF64(&s, parts.mutex_threshold);
-    AppendF64(&s, parts.similar_threshold);
-    AppendU64(&s, parts.mutex_keys.size());
-    for (uint64_t k : parts.mutex_keys) AppendU64(&s, k);
-    for (double v : parts.mutex_sims) AppendF64(&s, v);
-  }
-  {
-    std::string& s = sections[kSecNameSort];
-    for (uint32_t c : concept_by_name) AppendU32(&s, c);
-    for (uint32_t e : instance_by_name) AppendU32(&s, e);
+    char* out = Put(section(kSecMutex), parts.mutex_threshold);
+    out = Put(out, parts.similar_threshold);
+    out = Put(out, nm);
+    PutAll(PutAll(out, parts.mutex_keys), parts.mutex_sims);
   }
 
-  // -- Frame: header, section table, padded payloads, footer ----------------
+  // -- Frame: header, section table, footer ---------------------------------
 
-  size_t offsets[kNumSections];
-  size_t cursor = kHeaderBytes + kNumSections * kSectionEntryBytes + 8;
+  char* header = file.data();
+  char* out = Put(header, kMagic);
+  out = Put(out, kVersion);
+  out = Put(out, static_cast<uint32_t>(kNumSections));
+  out = Put(out, total_bytes);
+  out = Put(out, static_cast<uint32_t>(nc));
+  out = Put(out, static_cast<uint32_t>(ni));
+  out = Put(out, np);
+  Put(out, Crc32Of(std::string_view(header, static_cast<size_t>(out - header))));
+
+  char* table = file.data() + kHeaderBytes;
+  out = table;
   for (int i = 0; i < kNumSections; ++i) {
-    offsets[i] = cursor;
-    cursor = Align8(cursor + sections[i].size());
+    out = Put(out, kSectionTags[i]);
+    out = Put(out, Crc32Of(std::string_view(section(i), static_cast<size_t>(sizes[i]))));
+    out = Put(out, offsets[i]);
+    out = Put(out, sizes[i]);
   }
-  const uint64_t total_bytes = cursor + kFooterBytes;
+  Put(out, Crc32Of(std::string_view(table, kNumSections * kSectionEntryBytes)));
 
-  std::string file;
-  file.reserve(total_bytes);
-  AppendU64(&file, kMagic);
-  AppendU32(&file, kVersion);
-  AppendU32(&file, kNumSections);
-  AppendU64(&file, total_bytes);
-  AppendU32(&file, static_cast<uint32_t>(nc));
-  AppendU32(&file, static_cast<uint32_t>(ni));
-  AppendU64(&file, np);
-  AppendU32(&file, Crc32Of(std::string_view(file.data(), file.size())));
-  AppendU32(&file, 0);  // pad
-
-  std::string table;
-  for (int i = 0; i < kNumSections; ++i) {
-    AppendU32(&table, kSectionTags[i]);
-    AppendU32(&table, Crc32Of(sections[i]));
-    AppendU64(&table, offsets[i]);
-    AppendU64(&table, sections[i].size());
-  }
-  file += table;
-  AppendU32(&file, Crc32Of(table));
-  AppendU32(&file, 0);  // pad
-
-  for (int i = 0; i < kNumSections; ++i) {
-    file += sections[i];
-    file.append(Align8(file.size()) - file.size(), '\0');
-  }
-  AppendU32(&file, Crc32Of(file));
-  AppendU32(&file, kEndMagic);
+  const size_t checked = static_cast<size_t>(total_bytes - kFooterBytes);
+  Put(Put(file.data() + checked, Crc32Of(std::string_view(file.data(), checked))),
+      kEndMagic);
   return file;
 }
 
@@ -1029,18 +1058,36 @@ bool SnapshotReader::IsMutex(uint32_t a, uint32_t b) const {
   return EffectiveSim(a, b) < mutex_threshold_;
 }
 
-SnapshotParts PartsFromReader(const SnapshotReader& reader) {
+Result<SnapshotParts> PartsFromReader(const SnapshotReader& reader,
+                                      std::shared_ptr<const SnapshotNames> names) {
+  // A deferred-verify reader has not CRC-checked its sections yet; copying
+  // unverified bytes here would let BuildSnapshotImage frame them under
+  // fresh, valid CRCs.
+  Status verified = reader.EnsureSections(kSnapSecAll);
+  if (!verified.ok()) return verified;
   SnapshotParts parts;
   const uint32_t nc = reader.num_concepts();
   const uint32_t ni = reader.num_instances();
   const uint64_t np = reader.num_pairs();
-  parts.concept_names.reserve(nc);
-  for (uint32_t c = 0; c < nc; ++c) {
-    parts.concept_names.emplace_back(reader.ConceptName(c));
-  }
-  parts.instance_names.reserve(ni);
-  for (uint32_t e = 0; e < ni; ++e) {
-    parts.instance_names.emplace_back(reader.InstanceName(e));
+  const std::string_view concept_table(
+      reinterpret_cast<const char*>(reader.concept_name_offsets_),
+      static_cast<size_t>(4 * (uint64_t{nc} + 1) + reader.concept_blob_bytes_));
+  const std::string_view instance_table(
+      reinterpret_cast<const char*>(reader.instance_name_offsets_),
+      static_cast<size_t>(4 * (uint64_t{ni} + 1) + reader.instance_blob_bytes_));
+  const std::string_view name_sort(reinterpret_cast<const char*>(reader.concept_by_name_),
+                                   static_cast<size_t>(4 * (uint64_t{nc} + ni)));
+  if (names != nullptr && names->concept_table() == concept_table &&
+      names->instance_table() == instance_table && names->name_sort() == name_sort) {
+    parts.names = std::move(names);
+  } else {
+    std::shared_ptr<SnapshotNames> adopted(new SnapshotNames());
+    adopted->num_concepts_ = nc;
+    adopted->num_instances_ = ni;
+    adopted->concept_table_ = concept_table;
+    adopted->instance_table_ = instance_table;
+    adopted->name_sort_ = name_sort;
+    parts.names = std::move(adopted);
   }
   parts.fwd_rows.reserve(nc + 1);
   parts.fwd_rows.push_back(0);

@@ -53,15 +53,63 @@ struct SnapshotOptions {
   MutexParams mutex;
 };
 
-/// The primary arrays a snapshot is assembled from. Everything else in the
-/// file (rank order, inverse CSR, name-sort permutations) is derived from
-/// these by BuildSnapshotImage, which is what makes delta application
-/// well-defined: a delta edits primary arrays, derivation is recomputed, and
-/// the materialized image is byte-identical to one written directly from the
-/// same arrays.
+class SnapshotReader;
+struct SnapshotParts;
+
+/// The world-constant sections of a snapshot: both interned name tables and
+/// the name-sorted permutations, held as their encoded CNAM, INAM and NSRT
+/// payloads. A delta cannot change a name, so every generation over one
+/// world shares one block (through shared_ptr): BuildSnapshotImage copies
+/// the three payloads instead of decoding, re-sorting and re-encoding the
+/// names. Immutable. Build() is the only place names are encoded and sorted;
+/// PartsFromReader adopts a block verbatim from a reader's verified section
+/// bytes.
+class SnapshotNames {
+ public:
+  /// Encodes the name tables and sorts each permutation by name, ties by id.
+  /// The sort key is an 8-byte big-endian name prefix, then the full name,
+  /// then the id — the same order as comparing (name, id), without chasing
+  /// two string pointers per comparison.
+  static std::shared_ptr<const SnapshotNames> Build(
+      const std::vector<std::string_view>& concept_names,
+      const std::vector<std::string_view>& instance_names);
+
+  size_t num_concepts() const { return num_concepts_; }
+  size_t num_instances() const { return num_instances_; }
+
+  /// CNAM payload: u32 offsets[nc+1] + byte blob.
+  std::string_view concept_table() const { return concept_table_; }
+  /// INAM payload: u32 offsets[ni+1] + byte blob.
+  std::string_view instance_table() const { return instance_table_; }
+  /// NSRT payload: u32 concept permutation[nc], then instance permutation[ni].
+  std::string_view name_sort() const { return name_sort_; }
+
+  /// Same world: the three payloads are byte-identical.
+  bool SameAs(const SnapshotNames& other) const;
+
+ private:
+  SnapshotNames() = default;
+  friend Result<SnapshotParts> PartsFromReader(
+      const SnapshotReader& reader, std::shared_ptr<const SnapshotNames> names);
+
+  size_t num_concepts_ = 0;
+  size_t num_instances_ = 0;
+  std::string concept_table_;
+  std::string instance_table_;
+  std::string name_sort_;
+};
+
+/// The arrays a snapshot is assembled from: the shared world-constant names
+/// block plus the primary per-generation arrays. Everything else in the
+/// file (rank order, inverse CSR) is derived from these by
+/// BuildSnapshotImage, which is what makes delta application well-defined:
+/// a delta edits primary arrays and carries the names block unchanged,
+/// derivation is recomputed, and the materialized image is byte-identical
+/// to one written directly from the same arrays.
 struct SnapshotParts {
-  std::vector<std::string> concept_names;
-  std::vector<std::string> instance_names;
+  /// Null only in a default-constructed value (no world yet);
+  /// BuildSnapshotImage refuses it.
+  std::shared_ptr<const SnapshotNames> names;
   /// Forward CSR: rows[c]..rows[c+1] index the pair columns; each row is
   /// strictly sorted by instance id.
   std::vector<uint64_t> fwd_rows;
@@ -77,26 +125,29 @@ struct SnapshotParts {
   std::vector<uint64_t> mutex_keys;
   std::vector<double> mutex_sims;
 
-  size_t num_concepts() const { return concept_names.size(); }
-  size_t num_instances() const { return instance_names.size(); }
+  size_t num_concepts() const { return names == nullptr ? 0 : names->num_concepts(); }
+  size_t num_instances() const { return names == nullptr ? 0 : names->num_instances(); }
   uint64_t num_pairs() const { return fwd_instance.size(); }
 };
 
 /// Compiles the live pairs of `kb` (restricted to the world's concept and
 /// instance id spaces, like ExportTaxonomyTsv) into primary arrays. Scores
 /// are computed here (checked walk across the thread pool); quarantine flags
-/// come from `health` when given.
+/// come from `health` when given. `names` is the names block of an earlier
+/// compile over the same `world` (a stream's publisher carries it from epoch
+/// to epoch); when null, the block is built from `world`.
 SnapshotParts CompileSnapshotParts(const KnowledgeBase& kb, const World& world,
                                    const RunHealthReport* health,
-                                   const SnapshotOptions& options);
+                                   const SnapshotOptions& options,
+                                   std::shared_ptr<const SnapshotNames> names = nullptr);
 
 /// Assembles the full framed file image (header, section table, payloads,
-/// CRC footer) from primary arrays, recomputing every derived section. The
-/// image is a deterministic function of the parts alone, so
-/// `BuildSnapshotImage(PartsFromReader(r))` reproduces r's file byte for
-/// byte. Fails (kInternal) if the parts are structurally unsound — this is
-/// the safety gate the delta applier relies on before an image is ever
-/// mapped.
+/// CRC footer) from the parts: the names block's payloads are copied, every
+/// derived section is recomputed. The image is a deterministic function of
+/// the parts alone, so `BuildSnapshotImage(*PartsFromReader(r))` reproduces
+/// r's file byte for byte. Fails (kInternal) if the parts are structurally
+/// unsound — this is the safety gate the delta applier relies on before an
+/// image is ever mapped.
 Result<std::string> BuildSnapshotImage(const SnapshotParts& parts);
 
 /// Writes an already-built image to `path` via temp-and-rename, so a torn
@@ -282,6 +333,10 @@ class SnapshotReader {
 
   SnapshotReader();
 
+  /// Reads the verified CNAM/INAM/NSRT bytes to adopt them as a names block.
+  friend Result<SnapshotParts> PartsFromReader(
+      const SnapshotReader& reader, std::shared_ptr<const SnapshotNames> names);
+
   static std::string_view Interned(const uint32_t* offsets, const char* blob,
                                    uint32_t i) {
     return std::string_view(blob + offsets[i], offsets[i + 1] - offsets[i]);
@@ -337,9 +392,15 @@ class SnapshotReader {
   const uint32_t* instance_by_name_ = nullptr;
 };
 
-/// Recovers the primary arrays from a validated reader — the base state a
-/// SnapshotDelta is applied to.
-SnapshotParts PartsFromReader(const SnapshotReader& reader);
+/// Recovers the parts from a reader — the base state a SnapshotDelta is
+/// applied to. Runs EnsureSections(kSnapSecAll) first and fails with its
+/// error, so a deferred-verify (kMmap) reader's bytes are CRC-checked before
+/// any of them is copied and later framed under fresh CRCs. The names block
+/// is adopted verbatim from the verified CNAM/INAM/NSRT bytes; when `names`
+/// is given and byte-identical to them it is shared instead of copied (a
+/// generation chain keeps one block).
+Result<SnapshotParts> PartsFromReader(
+    const SnapshotReader& reader, std::shared_ptr<const SnapshotNames> names = nullptr);
 
 }  // namespace semdrift
 

@@ -45,8 +45,12 @@ Status Malformed(const std::string& path, size_t line_number,
 
 Result<SnapshotDelta> DiffSnapshotParts(const SnapshotParts& base,
                                         const SnapshotParts& next) {
-  if (base.concept_names != next.concept_names ||
-      base.instance_names != next.instance_names) {
+  // One shared names block is the common case (a stream's consecutive
+  // epochs); separately built blocks are compared byte for byte.
+  const bool same_world =
+      base.names == next.names || (base.names != nullptr && next.names != nullptr &&
+                                   base.names->SameAs(*next.names));
+  if (!same_world) {
     return Status::InvalidArgument(
         "snapshot delta: base and next snapshots describe different worlds");
   }

@@ -80,9 +80,10 @@ struct SnapshotDelta {
   }
 };
 
-/// Diffs two parts over the same world (names and counts must be identical;
-/// kInvalidArgument otherwise). The returned delta has counts and thresholds
-/// filled in; the caller sets the generation/CRC binding before writing.
+/// Diffs two parts over the same world (one shared names block or two
+/// byte-identical ones; kInvalidArgument otherwise). The returned delta has
+/// counts and thresholds filled in; the caller sets the generation/CRC
+/// binding before writing.
 Result<SnapshotDelta> DiffSnapshotParts(const SnapshotParts& base,
                                         const SnapshotParts& next);
 
@@ -96,15 +97,16 @@ Status WriteSnapshotDeltaFile(const SnapshotDelta& delta, const std::string& pat
 /// matches a particular base is MaterializeSnapshotDelta's check.
 Result<SnapshotDelta> LoadSnapshotDelta(const std::string& path);
 
-/// Applies the delta's edits to `parts` in place. Fails (kDataLoss) when the
+/// Applies the delta's edits to `parts` in place; the names block is carried
+/// unchanged, since a delta cannot rename. Fails (kDataLoss) when the
 /// delta disagrees with the base's shape or removes something absent — the
 /// signature of a wrong-base application that slipped past the CRC binding.
 Status ApplySnapshotDelta(const SnapshotDelta& delta, SnapshotParts* parts);
 
 /// The full applier: checks the (generation, CRC) base binding, applies to a
-/// copy of `base_parts`, and rebuilds the framed image — which the caller
-/// then opens with SnapshotReader::OpenFromBuffer, re-running the deep
-/// structural Validate() before anything is served.
+/// copy of `base_parts` (sharing its names block), and rebuilds the framed
+/// image — which the caller then opens with SnapshotReader::OpenFromBuffer,
+/// re-running the deep structural Validate() before anything is served.
 Result<std::string> MaterializeSnapshotDelta(const SnapshotDelta& delta,
                                              const SnapshotParts& base_parts,
                                              uint64_t base_generation,

@@ -25,6 +25,10 @@ struct ManagerMetrics {
   MetricsRegistry::Counter rolled_back;
   MetricsRegistry::Counter orphaned;
   MetricsRegistry::Histogram swap_ns;
+  MetricsRegistry::Histogram read_ns;
+  MetricsRegistry::Histogram parse_ns;
+  MetricsRegistry::Histogram materialize_ns;
+  MetricsRegistry::Histogram open_ns;
 };
 
 ManagerMetrics& GetManagerMetrics() {
@@ -35,6 +39,11 @@ ManagerMetrics& GetManagerMetrics() {
       GlobalMetrics().RegisterCounter("serve.publish.rolled_back"),
       GlobalMetrics().RegisterCounter("serve.publish.orphaned"),
       GlobalMetrics().RegisterHistogram("serve.swap.ns", LatencyBucketsNs()),
+      GlobalMetrics().RegisterHistogram("serve.install.read_ns", LatencyBucketsNs()),
+      GlobalMetrics().RegisterHistogram("serve.install.parse_ns", LatencyBucketsNs()),
+      GlobalMetrics().RegisterHistogram("serve.install.materialize_ns",
+                                        LatencyBucketsNs()),
+      GlobalMetrics().RegisterHistogram("serve.install.open_ns", LatencyBucketsNs()),
   };
   return *m;
 }
@@ -96,14 +105,21 @@ std::shared_ptr<ServingGeneration> SnapshotManager::LoadFull(
                                           /*quarantine=*/true,
                                           options_.backoff_base_ms,
                                           options_.backoff_cap_ms});
+  // Phase times add up over retried attempts.
+  uint64_t read_ns = 0;
+  uint64_t open_ns = 0;
   std::function<std::shared_ptr<ServingGeneration>(int)> body =
       [&](int /*attempt*/) {
+        const uint64_t started = NowNs();
         auto content = ReadFileToString(path);
+        const uint64_t read = NowNs();
+        read_ns += read - started;
         if (!content.ok()) throw std::runtime_error(content.status().message());
         auto reader = SnapshotReader::OpenFromBuffer(*content, path);
         if (!reader.ok()) throw std::runtime_error(reader.status().message());
         auto out = std::make_shared<ServingGeneration>(gen, Crc32Of(*content),
                                                        path, std::move(*reader));
+        open_ns += NowNs() - read;
         return out;
       };
   std::shared_ptr<ServingGeneration> loaded;
@@ -114,14 +130,14 @@ std::shared_ptr<ServingGeneration> SnapshotManager::LoadFull(
     *error = outcome.error;
     return nullptr;
   }
+  ManagerMetrics& metrics = GetManagerMetrics();
+  metrics.read_ns.Observe(static_cast<double>(read_ns));
+  metrics.open_ns.Observe(static_cast<double>(open_ns));
   return loaded;
 }
 
 std::shared_ptr<ServingGeneration> SnapshotManager::LoadDelta(
     const std::string& path, const ServingGeneration& base, std::string* error) {
-  // The base arrays are recovered once per candidate, off the serve path —
-  // the base reader is immutable, so this is safe against concurrent queries.
-  const SnapshotParts base_parts = PartsFromReader(base.reader);
   Supervisor supervisor(SupervisorOptions{options_.load_deadline_ms,
                                           options_.load_retries,
                                           /*quarantine=*/true,
@@ -130,9 +146,12 @@ std::shared_ptr<ServingGeneration> SnapshotManager::LoadDelta(
   // Phase 1 (retried): parse the delta file strictly. This is the only step
   // with a transient failure mode — a publisher racing our read — so it is
   // the only step that earns retries.
+  uint64_t parse_ns = 0;
   std::function<SnapshotDelta(int)> parse =
       [&](int /*attempt*/) {
+        const uint64_t started = NowNs();
         auto delta = LoadSnapshotDelta(path);
+        parse_ns += NowNs() - started;
         if (!delta.ok()) throw std::runtime_error(delta.status().message());
         return std::move(*delta);
       };
@@ -160,11 +179,21 @@ std::shared_ptr<ServingGeneration> SnapshotManager::LoadDelta(
     return nullptr;
   }
   // Phase 2: materialize and deep-validate — deterministic functions of the
-  // parsed bytes, guarded for the deadline but pointless to retry.
+  // parsed bytes, guarded for the deadline but pointless to retry. The base
+  // arrays are recovered off the serve path (the base reader is immutable,
+  // so this is safe against concurrent queries); the base's names block is
+  // shared, not copied, and passed on to the new generation.
+  uint64_t materialize_ns = 0;
+  uint64_t open_ns = 0;
   std::function<std::shared_ptr<ServingGeneration>(int)> body =
       [&](int /*attempt*/) {
-        auto image = MaterializeSnapshotDelta(delta, base_parts, base.generation,
+        const uint64_t started = NowNs();
+        Result<SnapshotParts> base_parts = PartsFromReader(base.reader, base.names);
+        if (!base_parts.ok()) throw std::runtime_error(base_parts.status().message());
+        auto image = MaterializeSnapshotDelta(delta, *base_parts, base.generation,
                                               base.image_crc32);
+        const uint64_t materialized = NowNs();
+        materialize_ns += materialized - started;
         if (!image.ok()) throw std::runtime_error(image.status().message());
         // Re-run the deep structural Validate() on the materialized image
         // before it can ever be served.
@@ -172,6 +201,8 @@ std::shared_ptr<ServingGeneration> SnapshotManager::LoadDelta(
         if (!reader.ok()) throw std::runtime_error(reader.status().message());
         auto out = std::make_shared<ServingGeneration>(
             delta.generation, Crc32Of(*image), path, std::move(*reader));
+        out->names = std::move(base_parts->names);
+        open_ns += NowNs() - materialized;
         return out;
       };
   Supervisor materialize_supervisor(SupervisorOptions{
@@ -185,6 +216,10 @@ std::shared_ptr<ServingGeneration> SnapshotManager::LoadDelta(
     *error = outcome.error;
     return nullptr;
   }
+  ManagerMetrics& metrics = GetManagerMetrics();
+  metrics.parse_ns.Observe(static_cast<double>(parse_ns));
+  metrics.materialize_ns.Observe(static_cast<double>(materialize_ns));
+  metrics.open_ns.Observe(static_cast<double>(open_ns));
   return loaded;
 }
 

@@ -26,6 +26,10 @@ struct ServingGeneration {
   /// The publish file this generation came from (diagnostics).
   std::string source;
   SnapshotReader reader;
+  /// The names block the image was materialized with: delta generations
+  /// carry it on to the next delta, so a chain shares one block. Null for a
+  /// full image (the first delta on it adopts the block from `reader`).
+  std::shared_ptr<const SnapshotNames> names;
   /// Engine over `reader`, created fresh per generation: a new generation
   /// gets an empty response cache (per-generation invalidation) while
   /// recording into the manager's shared ServeStats.
@@ -102,7 +106,12 @@ struct SnapshotPollResult {
 /// Metrics: gauge `serve.generation`, counters `serve.swap.count`,
 /// `serve.publish.failed`, `serve.publish.rolled_back`,
 /// `serve.publish.orphaned`, histogram `serve.swap.ns` (per-swap
-/// load-to-install latency).
+/// load-to-install latency) and its phases, observed per successful install:
+/// `serve.install.read_ns` (a full image's file read),
+/// `serve.install.parse_ns` (a delta file's read, checksum and parse),
+/// `serve.install.materialize_ns` (base parts recovery, delta application
+/// and image build) and `serve.install.open_ns` (OpenFromBuffer's CRCs and
+/// Validate(), plus the image CRC).
 class SnapshotManager {
  public:
   explicit SnapshotManager(SnapshotManagerOptions options);

@@ -211,8 +211,15 @@ Status StreamPipeline::FinishEpoch(bool full_rebuild, StreamEpochStats* stats) {
   StreamMetrics& metrics = GetStreamMetrics();
   auto start = std::chrono::steady_clock::now();
   ScopedSpan publish(&GlobalTrace(), "stream.publish");
-  SnapshotParts parts = CompileSnapshotParts(kb_, *world_, nullptr, options_.snapshot);
-  Result<std::string> image = BuildSnapshotImage(parts);
+  // The names block is world-constant: built by the first compile, carried
+  // to every later epoch.
+  SnapshotParts parts =
+      CompileSnapshotParts(kb_, *world_, nullptr, options_.snapshot, names_);
+  names_ = parts.names;
+  Result<std::string> image = [&] {
+    ScopedSpan build(&GlobalTrace(), "snapshot.image");
+    return BuildSnapshotImage(parts);
+  }();
   if (!image.ok()) return image.status();
 
   if (!options_.epoch_snapshot_dir.empty()) {
@@ -225,7 +232,10 @@ Status StreamPipeline::FinishEpoch(bool full_rebuild, StreamEpochStats* stats) {
     uint64_t gen = generation_ + 1;
     bool as_delta = has_published_ && !full_rebuild;
     if (as_delta) {
-      Result<SnapshotDelta> delta = DiffSnapshotParts(last_parts_, parts);
+      Result<SnapshotDelta> delta = [&] {
+        ScopedSpan diff(&GlobalTrace(), "snapshot.diff");
+        return DiffSnapshotParts(last_parts_, parts);
+      }();
       if (!delta.ok()) return delta.status();
       delta->base_generation = generation_;
       delta->base_crc32 = last_crc_;
@@ -253,7 +263,8 @@ Status StreamPipeline::FinishEpoch(bool full_rebuild, StreamEpochStats* stats) {
 }
 
 Result<std::string> StreamPipeline::BuildImage() const {
-  SnapshotParts parts = CompileSnapshotParts(kb_, *world_, nullptr, options_.snapshot);
+  SnapshotParts parts =
+      CompileSnapshotParts(kb_, *world_, nullptr, options_.snapshot, names_);
   return BuildSnapshotImage(parts);
 }
 

@@ -2,6 +2,7 @@
 #define SEMDRIFT_STREAM_STREAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -142,7 +143,10 @@ class StreamPipeline {
   int epoch_ = 0;
   uint64_t generation_ = 0;
   size_t stale_sentences_ = 0;
-  /// Primary arrays and CRC of the last published image (delta base).
+  /// The world's names block, built by the first compile and shared by
+  /// every published generation.
+  std::shared_ptr<const SnapshotNames> names_;
+  /// Parts and CRC of the last published image (delta base).
   SnapshotParts last_parts_;
   uint32_t last_crc_ = 0;
   bool has_published_ = false;

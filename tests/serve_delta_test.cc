@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_delta.h"
+#include "serve/snapshot_manager.h"
 #include "testing/random_structures.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
@@ -148,10 +151,149 @@ TEST(SnapshotDeltaTest, DeltaChainMatchesDirectBuild) {
   EXPECT_EQ(*step1, *image_b);
   auto mid = SnapshotReader::OpenFromBuffer(*step1, "gen-2");
   ASSERT_TRUE(mid.ok());
-  auto step2 =
-      MaterializeSnapshotDelta(*d_bc, PartsFromReader(*mid), 2, Crc32Of(*step1));
+  auto mid_parts = PartsFromReader(*mid);
+  ASSERT_TRUE(mid_parts.ok()) << mid_parts.status().ToString();
+  auto step2 = MaterializeSnapshotDelta(*d_bc, *mid_parts, 2, Crc32Of(*step1));
   ASSERT_TRUE(step2.ok()) << step2.status().ToString();
   EXPECT_EQ(*step2, *image_c);
+}
+
+/// The world's names, for building names blocks of edited worlds.
+void WorldNames(const World& world, std::vector<std::string>* concepts,
+                std::vector<std::string>* instances) {
+  for (uint32_t c = 0; c < world.num_concepts(); ++c) {
+    concepts->push_back(world.ConceptName(ConceptId(c)));
+  }
+  for (uint32_t e = 0; e < world.num_instances(); ++e) {
+    instances->push_back(world.InstanceName(InstanceId(e)));
+  }
+}
+
+std::shared_ptr<const SnapshotNames> BuildNames(
+    const std::vector<std::string>& concepts, const std::vector<std::string>& instances) {
+  return SnapshotNames::Build(
+      std::vector<std::string_view>(concepts.begin(), concepts.end()),
+      std::vector<std::string_view>(instances.begin(), instances.end()));
+}
+
+/// A delta can only carry names unchanged, so diffing across worlds must be
+/// refused — whether the worlds differ by one renamed instance or by one
+/// extra instance. Separately built blocks of one world are the same world.
+TEST(SnapshotDeltaTest, DiffRefusesAnotherWorld) {
+  World world = property::RandomWorld(21);
+  size_t ns = 0;
+  KnowledgeBase kb = property::RandomKb(world, 21, &ns);
+  const SnapshotParts base = CompileSnapshotParts(kb, world, nullptr, SnapshotOptions{});
+  std::vector<std::string> concepts, instances;
+  WorldNames(world, &concepts, &instances);
+  ASSERT_FALSE(instances.empty());
+
+  SnapshotParts same = base;
+  same.names = BuildNames(concepts, instances);
+  ASSERT_NE(same.names.get(), base.names.get());
+  auto same_world = DiffSnapshotParts(base, same);
+  ASSERT_TRUE(same_world.ok()) << same_world.status().ToString();
+  EXPECT_EQ(same_world->num_records(), 0u);
+
+  std::vector<std::string> renamed = instances;
+  renamed[renamed.size() / 2] += "-renamed";
+  SnapshotParts renamed_parts = base;
+  renamed_parts.names = BuildNames(concepts, renamed);
+  auto renamed_diff = DiffSnapshotParts(base, renamed_parts);
+  ASSERT_FALSE(renamed_diff.ok());
+  EXPECT_EQ(renamed_diff.status().code(), Status::Code::kInvalidArgument);
+
+  std::vector<std::string> extra = instances;
+  extra.push_back("extra-instance");
+  SnapshotParts extra_parts = base;
+  extra_parts.names = BuildNames(concepts, extra);
+  auto extra_diff = DiffSnapshotParts(base, extra_parts);
+  ASSERT_FALSE(extra_diff.ok());
+  EXPECT_EQ(extra_diff.status().code(), Status::Code::kInvalidArgument);
+  auto reverse_diff = DiffSnapshotParts(extra_parts, base);
+  ASSERT_FALSE(reverse_diff.ok());
+  EXPECT_EQ(reverse_diff.status().code(), Status::Code::kInvalidArgument);
+  auto no_world = DiffSnapshotParts(base, SnapshotParts{});
+  ASSERT_FALSE(no_world.ok());
+  EXPECT_EQ(no_world.status().code(), Status::Code::kInvalidArgument);
+}
+
+/// A 16-delta chain installed through SnapshotManager::Poll serves, at every
+/// generation, the image a direct build of that generation's parts writes —
+/// and every delta generation shares one names block: none re-encodes names.
+/// Also checks the install phase histograms: registered by construction,
+/// then observed by each install.
+TEST(SnapshotDeltaTest, PollChainIsByteIdenticalAndSharesOneNamesBlock) {
+  constexpr uint64_t kGenerations = 17;
+  World world = property::RandomWorld(33);
+  std::vector<SnapshotParts> parts;
+  std::vector<std::string> images;
+  for (uint64_t g = 1; g <= kGenerations; ++g) {
+    size_t ns = 0;
+    KnowledgeBase kb = property::RandomKb(world, 33 + 1000 * g, &ns);
+    parts.push_back(CompileSnapshotParts(kb, world, nullptr, SnapshotOptions{}));
+    auto image = BuildSnapshotImage(parts.back());
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    images.push_back(std::move(*image));
+  }
+
+  const std::string dir = ::testing::TempDir() + "/delta_poll_chain";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+  ASSERT_TRUE(PublishSnapshotImage(images[0], dir + "/snap-1.bin").ok());
+
+  const char* const kPhases[] = {"serve.install.read_ns", "serve.install.parse_ns",
+                                 "serve.install.materialize_ns",
+                                 "serve.install.open_ns"};
+  SnapshotManagerOptions options;
+  options.dir = dir;
+  SnapshotManager manager(options);
+  uint64_t before[4];
+  for (int i = 0; i < 4; ++i) {
+    HistogramSnapshot h = GlobalMetrics().HistogramValues(kPhases[i]);
+    EXPECT_FALSE(h.buckets.empty()) << kPhases[i] << " not registered by construction";
+    before[i] = h.count;
+  }
+  ASSERT_TRUE(manager.LoadInitial().ok());
+
+  std::shared_ptr<const SnapshotNames> chain_names;
+  for (uint64_t g = 2; g <= kGenerations; ++g) {
+    SCOPED_TRACE("generation " + std::to_string(g));
+    auto delta = DiffSnapshotParts(parts[g - 2], parts[g - 1]);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    delta->base_generation = g - 1;
+    delta->base_crc32 = Crc32Of(images[g - 2]);
+    delta->generation = g;
+    const std::string path = dir + "/delta-" + std::to_string(g) + ".bin";
+    ASSERT_TRUE(WriteSnapshotDeltaFile(*delta, path).ok());
+    SnapshotPollResult poll = manager.Poll();
+    ASSERT_EQ(poll.swaps, 1);
+    ASSERT_EQ(poll.failed, 0);
+    std::shared_ptr<const ServingGeneration> current = manager.Current();
+    ASSERT_EQ(current->generation, g);
+    EXPECT_EQ(current->image_crc32, Crc32Of(images[g - 1]));
+    EXPECT_EQ(current->reader.file_bytes(), images[g - 1].size());
+    auto served = PartsFromReader(current->reader);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    auto rebuilt = BuildSnapshotImage(*served);
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_EQ(*rebuilt, images[g - 1]) << "served image differs from the direct build";
+
+    ASSERT_NE(current->names, nullptr);
+    if (chain_names == nullptr) chain_names = current->names;
+    EXPECT_EQ(current->names.get(), chain_names.get()) << "names block re-made";
+    EXPECT_TRUE(current->names->SameAs(*parts[g - 1].names));
+
+    if (g == 2) {
+      // One full install and one delta install so far.
+      const uint64_t want[4] = {1, 1, 1, 2};
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(GlobalMetrics().HistogramValues(kPhases[i]).count - before[i], want[i])
+            << kPhases[i];
+      }
+    }
+  }
 }
 
 /// 60-seed corruption sweep over the delta file itself: every corrupted

@@ -19,7 +19,8 @@ namespace {
 
 constexpr size_t kHeaderBytes = 48;
 constexpr size_t kSectionEntryBytes = 24;
-constexpr int kMutexSectionIndex = 8;  // MUTX in the fixed section order.
+constexpr int kInstanceNamesSectionIndex = 1;  // INAM in the fixed section order.
+constexpr int kMutexSectionIndex = 8;          // MUTX.
 
 /// Byte offset and size of one section's payload, read straight from the
 /// section table of a serialized image.
@@ -221,6 +222,37 @@ TEST_F(SnapshotMmapTest, EmptyFileRejected) {
   auto reader = SnapshotReader::Open(path, MmapOptions());
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), Status::Code::kDataLoss);
+}
+
+/// A deferred-verify reader has not checked its section CRCs when it opens,
+/// so PartsFromReader must verify them itself: copying a damaged INAM byte
+/// into a names block would let BuildSnapshotImage frame it under fresh,
+/// valid CRCs.
+TEST_F(SnapshotMmapTest, PartsFromReaderRefusesUnverifiedDamage) {
+  uint64_t names_offset = 0, names_size = 0;
+  SectionSpan(*image_, kInstanceNamesSectionIndex, &names_offset, &names_size);
+  ASSERT_GT(names_size, 0u);
+  const std::string path =
+      WriteImage("parts_inam_flip", static_cast<size_t>(names_offset + names_size - 1));
+  auto reader = SnapshotReader::Open(path, MmapOptions());
+  ASSERT_TRUE(reader.ok()) << "deferred open checks framing only: "
+                           << reader.status().ToString();
+  EXPECT_EQ(reader->VerifiedSections() & kSnapSecInstanceNames, 0u);
+  auto parts = PartsFromReader(*reader);
+  ASSERT_FALSE(parts.ok()) << "materialized parts from an unverified INAM";
+  EXPECT_EQ(parts.status().code(), Status::Code::kDataLoss);
+  EXPECT_NE(parts.status().message().find("INAM"), std::string::npos)
+      << parts.status().ToString();
+
+  // The intact file recovers parts that rebuild the file byte for byte.
+  auto clean = SnapshotReader::Open(WriteImage("parts_clean"), MmapOptions());
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  auto clean_parts = PartsFromReader(*clean);
+  ASSERT_TRUE(clean_parts.ok()) << clean_parts.status().ToString();
+  EXPECT_EQ(clean->VerifiedSections(), static_cast<uint32_t>(kSnapSecAll));
+  auto rebuilt = BuildSnapshotImage(*clean_parts);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(*rebuilt, *image_);
 }
 
 }  // namespace

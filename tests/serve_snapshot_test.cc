@@ -10,6 +10,7 @@
 #include "rank/scorers.h"
 #include "serve/snapshot.h"
 #include "util/fault_injection.h"
+#include "util/rng.h"
 
 namespace semdrift {
 namespace {
@@ -207,6 +208,114 @@ TEST_F(SnapshotTest, WriterLeavesNoPartialFileBehind) {
   // The temp-and-rename contract: after a successful write, no .snap-tmp
   // carcass remains next to the snapshot.
   EXPECT_FALSE(std::filesystem::exists(path_ + ".snap-tmp"));
+}
+
+/// The permutation sorting by (name, id) with std::string comparison: the
+/// order the names block's prefix-key sort must reproduce.
+std::vector<uint32_t> NameIdOrder(const std::vector<std::string>& names) {
+  std::vector<uint32_t> order(names.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (names[a] != names[b]) return names[a] < names[b];
+    return a < b;
+  });
+  return order;
+}
+
+std::vector<uint32_t> DecodeU32s(std::string_view bytes) {
+  std::vector<uint32_t> out(bytes.size() / 4);
+  for (size_t i = 0; i < out.size(); ++i) {
+    uint32_t v = 0;
+    for (int b = 3; b >= 0; --b) {
+      v = (v << 8) | static_cast<unsigned char>(bytes[4 * i + b]);
+    }
+    out[i] = v;
+  }
+  return out;
+}
+
+std::vector<std::string_view> Views(const std::vector<std::string>& names) {
+  return std::vector<std::string_view>(names.begin(), names.end());
+}
+
+/// Checks the block's NSRT permutations against NameIdOrder, then frames the
+/// names as a pairless snapshot: the reader's Validate() accepts the order
+/// and every name is found.
+void ExpectNameSortMatchesComparator(const std::vector<std::string>& concepts,
+                                     const std::vector<std::string>& instances) {
+  SnapshotParts parts;
+  parts.names = SnapshotNames::Build(Views(concepts), Views(instances));
+  const std::vector<uint32_t> sorted = DecodeU32s(parts.names->name_sort());
+  ASSERT_EQ(sorted.size(), concepts.size() + instances.size());
+  std::vector<uint32_t> expected = NameIdOrder(concepts);
+  const std::vector<uint32_t> expected_instances = NameIdOrder(instances);
+  expected.insert(expected.end(), expected_instances.begin(), expected_instances.end());
+  EXPECT_EQ(sorted, expected);
+
+  parts.fwd_rows.assign(concepts.size() + 1, 0);
+  parts.flags.assign(concepts.size(), 0);
+  auto image = BuildSnapshotImage(parts);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  auto reader = SnapshotReader::OpenFromBuffer(*image, "names");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (size_t e = 0; e < instances.size(); ++e) {
+    const uint32_t found = reader->FindInstance(instances[e]);
+    ASSERT_NE(found, SnapshotReader::kNoId) << "instance " << e;
+    EXPECT_EQ(reader->InstanceName(found), instances[e]);
+  }
+  for (size_t c = 0; c < concepts.size(); ++c) {
+    EXPECT_NE(reader->FindConcept(concepts[c]), SnapshotReader::kNoId) << "concept " << c;
+  }
+}
+
+TEST(SnapshotNamesTest, PrefixKeySortMatchesNameIdComparator) {
+  using namespace std::string_literals;
+  const std::vector<std::string> concepts = {"zebra", "ant", "ant", "Ant", "", "b"};
+  const std::vector<std::string> instances = {
+      // Shorter than the 8-byte prefix, and prefixes of one another.
+      "a", "ab", "", "abc", "a",
+      // Sharing the whole 8-byte prefix, differing after it.
+      "prefix01-z", "prefix01-a", "prefix01", "prefix01\x01", "prefix01-a",
+      // High-bit UTF-8 bytes sort after ASCII, as unsigned bytes.
+      "caf\xc3\xa9", "cafe", "caf\xff", "\xe6\x97\xa5\xe6\x9c\xac",
+      "\xe6\x97\xa5", "\x7f",
+      // Embedded NULs: equal to zero padding in the prefix key, so only the
+      // full comparison tells "x" from "x\0" and "x\0\0".
+      "x\0"s, "x"s, "x\0\0"s, "x\0y"s, "\0"s, "\0\0\0\0\0\0\0\0\0"s,
+      // Exact duplicates: ties break by id.
+      "dup", "dup", "dup"};
+  ExpectNameSortMatchesComparator(concepts, instances);
+}
+
+TEST(SnapshotNamesTest, PrefixKeySortMatchesComparatorOnRandomNames) {
+  // A four-symbol alphabet with NUL and a high-bit byte and lengths around
+  // the 8-byte prefix make prefix collisions, padding ties and duplicates
+  // common.
+  const char alphabet[] = {'\0', 'a', 'b', static_cast<char>(0xc3)};
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::string> concepts(rng.NextBounded(30));
+    std::vector<std::string> instances(200 + rng.NextBounded(200));
+    for (auto* names : {&concepts, &instances}) {
+      for (std::string& name : *names) {
+        name.resize(rng.NextBounded(13));
+        for (char& ch : name) ch = alphabet[rng.NextBounded(4)];
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectNameSortMatchesComparator(concepts, instances);
+  }
+}
+
+/// A default-constructed SnapshotParts carries no names block: it describes
+/// no world, and the image builder refuses it.
+TEST(SnapshotNamesTest, DefaultPartsHaveNoWorld) {
+  const SnapshotParts none;
+  EXPECT_EQ(none.num_concepts(), 0u);
+  EXPECT_EQ(none.num_instances(), 0u);
+  auto image = BuildSnapshotImage(none);
+  ASSERT_FALSE(image.ok());
+  EXPECT_EQ(image.status().code(), Status::Code::kInternal);
 }
 
 }  // namespace

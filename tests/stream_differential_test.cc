@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -8,9 +9,12 @@
 #include "dp/cleaner.h"
 #include "extract/extractor.h"
 #include "kb/knowledge_base.h"
+#include "obs/trace.h"
 #include "serve/snapshot.h"
+#include "serve/snapshot_manager.h"
 #include "stream/stream.h"
 #include "text/sentence.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -262,6 +266,113 @@ TEST(StreamDifferentialTest, PureIncrementalRunStaysValid) {
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   Status valid = replayed->Validate(world.num_concepts(), all.size());
   EXPECT_TRUE(valid.ok()) << valid.ToString();
+}
+
+/// Spans named `name` lying inside some `container` span on the same thread.
+size_t CountInside(const std::vector<TraceSpan>& spans, const std::string& name,
+                   const std::string& container) {
+  size_t count = 0;
+  for (const TraceSpan& s : spans) {
+    if (s.name != name) continue;
+    for (const TraceSpan& box : spans) {
+      const bool within = box.start_ns <= s.start_ns &&
+                          s.start_ns + s.dur_ns <= box.start_ns + box.dur_ns;
+      if (box.name == container && box.thread == s.thread && within) {
+        ++count;
+        break;
+      }
+    }
+  }
+  return count;
+}
+
+struct PublishedRun {
+  std::vector<std::string> canonical_spans;
+  size_t images_in_publish = 0;
+  size_t diffs_in_publish = 0;
+};
+
+/// A pure-incremental stream publishing every epoch (a full image, then
+/// deltas) into a publish dir an in-process SnapshotManager installs from.
+/// Every epoch's published image must equal a direct compile of the epoch's
+/// KB — the publisher carries its names block across epochs instead of
+/// rebuilding it — and every installed generation must serve that image.
+PublishedRun RunPublishedStream(int threads, const std::string& dir) {
+  SetGlobalThreadCount(threads);
+  World world = MakeWorld(5);
+  std::vector<Sentence> all = MakeSentences(world, 5);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir + "/pub", ec);
+  std::filesystem::create_directories(dir + "/epochs", ec);
+  StreamOptions options;
+  options.extractor = TestExtractorOptions();
+  options.cleaner = TestCleanerOptions();
+  options.final_full_rebuild = false;
+  options.publish_dir = dir + "/pub";
+  options.epoch_snapshot_dir = dir + "/epochs";
+  StreamPipeline stream(&world, options);
+  SnapshotManagerOptions manager_options;
+  manager_options.dir = options.publish_dir;
+  SnapshotManager manager(manager_options);
+
+  PublishedRun run;
+  GlobalTrace().Clear();
+  GlobalTrace().Enable(true);
+  std::vector<std::vector<Sentence>> epochs = SplitEpochs(all, Schedules()[0].cuts);
+  for (size_t k = 0; k < epochs.size(); ++k) {
+    SCOPED_TRACE("epoch " + std::to_string(k + 1));
+    Result<StreamEpochStats> stats =
+        stream.RunEpoch(std::move(epochs[k]), k + 1 == epochs.size());
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!stats.ok()) break;
+    EXPECT_EQ(stats->published_delta, k > 0);
+    auto published = ReadFileToString(options.epoch_snapshot_dir + "/epoch-" +
+                                      std::to_string(k + 1) + ".bin");
+    EXPECT_TRUE(published.ok());
+    auto direct = BuildSnapshotImage(
+        CompileSnapshotParts(stream.kb(), world, nullptr, SnapshotOptions{}));
+    EXPECT_TRUE(direct.ok() && published.ok() && *published == *direct)
+        << "published image differs from a direct compile";
+
+    if (k == 0) {
+      EXPECT_TRUE(manager.LoadInitial().ok());
+    } else {
+      SnapshotPollResult poll = manager.Poll();
+      EXPECT_EQ(poll.swaps, 1);
+      EXPECT_EQ(poll.failed, 0);
+    }
+    std::shared_ptr<const ServingGeneration> current = manager.Current();
+    EXPECT_TRUE(current != nullptr && current->generation == stats->generation);
+    if (current == nullptr || !published.ok()) continue;
+    auto served = PartsFromReader(current->reader);
+    EXPECT_TRUE(served.ok());
+    if (!served.ok()) continue;
+    auto rebuilt = BuildSnapshotImage(*served);
+    EXPECT_TRUE(rebuilt.ok() && *rebuilt == *published)
+        << "installed generation differs from the published image";
+  }
+  GlobalTrace().Enable(false);
+  std::vector<TraceSpan> spans = GlobalTrace().Snapshot();
+  GlobalTrace().Clear();
+  for (const TraceSpan& span : spans) run.canonical_spans.push_back(span.CanonicalLine());
+  run.images_in_publish = CountInside(spans, "snapshot.image", "stream.publish");
+  run.diffs_in_publish = CountInside(spans, "snapshot.diff", "stream.publish");
+  SetGlobalThreadCount(1);
+  return run;
+}
+
+TEST(StreamDifferentialTest, PublishedChainInstallsDirectImagesWithPublishSpans) {
+  const std::string dir = ::testing::TempDir() + "/stream_published";
+  PublishedRun serial = RunPublishedStream(1, dir + "-1");
+  // Four epochs: four image builds, three diffs (epoch 1 publishes a full
+  // image), each inside its epoch's stream.publish span.
+  EXPECT_EQ(serial.images_in_publish, 4u);
+  EXPECT_EQ(serial.diffs_in_publish, 3u);
+  // FinishEpoch is a serial driver: the span sequence, with its tags, does
+  // not depend on the thread count.
+  PublishedRun parallel = RunPublishedStream(4, dir + "-4");
+  EXPECT_EQ(parallel.canonical_spans, serial.canonical_spans);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -304,6 +305,66 @@ TEST(TimerTest, MeasuresForwardTime) {
   EXPECT_GE(timer.ElapsedSeconds(), 0.0);
   timer.Reset();
   EXPECT_GE(timer.ElapsedMillis(), 0.0);
+}
+
+/// Byte-at-a-time CRC-32 over the reflected IEEE polynomial, computed
+/// bitwise: the reference the table-driven kernel must agree with.
+uint32_t ReferenceCrc32(const unsigned char* data, size_t size) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32Of("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32Of(""), 0u);
+  EXPECT_EQ(Crc32().value(), 0u);
+  EXPECT_EQ(Crc32Of("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..256 at every start offset 0..7 covers the 8-byte main
+  // loop, the byte tail, and unaligned loads.
+  Rng rng(2024);
+  std::vector<unsigned char> buffer(256 + 8);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng.NextBounded(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 256; ++length) {
+      const unsigned char* p = buffer.data() + offset;
+      Crc32 crc;
+      crc.Update(p, length);
+      ASSERT_EQ(crc.value(), ReferenceCrc32(p, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, SplitUpdatesEqualOneShot) {
+  Rng rng(99);
+  std::string data(1000, '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextBounded(256));
+  const uint32_t whole = Crc32Of(data);
+  EXPECT_EQ(whole, ReferenceCrc32(reinterpret_cast<const unsigned char*>(data.data()),
+                                  data.size()));
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<size_t> cuts = {0, data.size()};
+    const size_t pieces = rng.NextBounded(6);
+    for (size_t i = 0; i < pieces; ++i) cuts.push_back(rng.NextBounded(data.size() + 1));
+    std::sort(cuts.begin(), cuts.end());
+    Crc32 crc;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      crc.Update(std::string_view(data).substr(cuts[i], cuts[i + 1] - cuts[i]));
+    }
+    ASSERT_EQ(crc.value(), whole) << "trial " << trial;
+  }
+  Crc32 reset;
+  reset.Update("garbage");
+  reset.Reset();
+  reset.Update(data);
+  EXPECT_EQ(reset.value(), whole);
 }
 
 }  // namespace

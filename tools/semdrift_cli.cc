@@ -1091,7 +1091,11 @@ int SnapshotVerify(int argc, char** argv) {
 
   // Walk the chain. The first delta declares which generation the base is;
   // the CRC binding is what actually authenticates it.
-  SnapshotParts parts = PartsFromReader(*reader);
+  auto parts = PartsFromReader(*reader);
+  if (!parts.ok()) {
+    std::fprintf(stderr, "FAIL %s\n", parts.status().ToString().c_str());
+    return 1;
+  }
   uint32_t crc = Crc32Of(*bytes);
   uint64_t generation = 0;
   for (int i = 3; i < argc; ++i) {
@@ -1102,7 +1106,7 @@ int SnapshotVerify(int argc, char** argv) {
       return 1;
     }
     if (i == 3) generation = delta->base_generation;
-    auto image = MaterializeSnapshotDelta(*delta, parts, generation, crc);
+    auto image = MaterializeSnapshotDelta(*delta, *parts, generation, crc);
     if (!image.ok()) {
       std::fprintf(stderr, "FAIL %s\n", image.status().ToString().c_str());
       return 1;
@@ -1119,7 +1123,11 @@ int SnapshotVerify(int argc, char** argv) {
                 delta->num_records(), next->num_concepts(),
                 next->num_instances(),
                 static_cast<unsigned long long>(next->num_pairs()));
-    parts = PartsFromReader(*next);
+    parts = PartsFromReader(*next, parts->names);
+    if (!parts.ok()) {
+      std::fprintf(stderr, "FAIL %s\n", parts.status().ToString().c_str());
+      return 1;
+    }
     crc = Crc32Of(*image);
     generation = delta->generation;
   }
@@ -1215,12 +1223,16 @@ int FuzzLoad(const Flags& flags) {
     std::fprintf(stderr, "%s\n", base_reader.status().ToString().c_str());
     return 1;
   }
-  const SnapshotParts base_parts = PartsFromReader(*base_reader);
+  auto base_parts = PartsFromReader(*base_reader);
+  if (!base_parts.ok()) {
+    std::fprintf(stderr, "%s\n", base_parts.status().ToString().c_str());
+    return 1;
+  }
   std::string delta_path = dir + "/delta.bin";
   {
-    SnapshotParts next_parts = base_parts;
+    SnapshotParts next_parts = *base_parts;
     if (!next_parts.score.empty()) next_parts.score[0] += 1.0;
-    auto delta = DiffSnapshotParts(base_parts, next_parts);
+    auto delta = DiffSnapshotParts(*base_parts, next_parts);
     if (!delta.ok()) {
       std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
       return 1;
@@ -1318,7 +1330,7 @@ int FuzzLoad(const Flags& flags) {
           if (!delta.ok()) {
             ++tally.strict_rejected;
           } else {
-            auto image = MaterializeSnapshotDelta(*delta, base_parts, 1, base_crc);
+            auto image = MaterializeSnapshotDelta(*delta, *base_parts, 1, base_crc);
             if (!image.ok()) {
               ++tally.strict_rejected;
             } else {
