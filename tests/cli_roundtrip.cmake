@@ -50,3 +50,12 @@ execute_process(
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "bad --quarantine value should exit 2, got ${rc}")
 endif()
+# Integer flags are bounded by the option they feed: an epoch count past
+# the int range is a usage error.
+execute_process(
+  COMMAND ${CLI} stream --world ${WORK_DIR}/w.tsv --corpus ${WORK_DIR}/c.tsv
+          --epochs 4294967297
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "stream --epochs 4294967297 should exit 2, got ${rc}: ${out}")
+endif()

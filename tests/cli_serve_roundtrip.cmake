@@ -1,8 +1,9 @@
 # CTest script: run --snapshot-out -> snapshot-verify -> serve -> scripted
 # queries -> expected-answers diff. The expected answers come from `semdrift
-# query` one-shots over the same snapshot, so the serve path (batcher + line
-# protocol on stdin/stdout) must agree byte for byte with direct engine
-# answers — including top-k-by-score ordering.
+# query` one-shots over the same snapshot, so the serve path (ShardRouter +
+# line protocol on stdin/stdout) must agree byte for byte with direct engine
+# answers — including top-k-by-score ordering — at one shard, at four
+# shards, under admission control and over a publish directory.
 file(MAKE_DIRECTORY ${WORK_DIR})
 execute_process(
   COMMAND ${CLI} generate --scale 0.05 --seed 11
@@ -63,6 +64,33 @@ set(queries
   "drift-score\tno such instance\t${concept_name}"
   "instances-of\tno such concept"
 )
+
+# Tab-form mutex lines over consecutive pairs of six distinct taxonomy
+# concepts. At --shards 4 at least one pair has its two concepts on
+# different shards (the metrics check below proves it), so both of its legs
+# go through the shard batchers and complete on pool threads.
+file(STRINGS ${WORK_DIR}/t.tsv taxonomy_rows)
+set(concepts "")
+foreach(row IN LISTS taxonomy_rows)
+  string(REGEX REPLACE "\t.*" "" row_concept "${row}")
+  list(FIND concepts "${row_concept}" seen)
+  if(seen EQUAL -1 AND NOT row_concept STREQUAL "concept")
+    list(APPEND concepts "${row_concept}")
+  endif()
+  list(LENGTH concepts num_concepts)
+  if(num_concepts EQUAL 6)
+    break()
+  endif()
+endforeach()
+if(NOT num_concepts EQUAL 6)
+  message(FATAL_ERROR "taxonomy has fewer than 6 concepts: ${concepts}")
+endif()
+foreach(i RANGE 4)
+  math(EXPR j "${i} + 1")
+  list(GET concepts ${i} first_concept)
+  list(GET concepts ${j} second_concept)
+  list(APPEND queries "mutex\t${first_concept}\t${second_concept}")
+endforeach()
 set(script "")
 set(expected "")
 foreach(q IN LISTS queries)
@@ -75,31 +103,60 @@ foreach(q IN LISTS queries)
   # is still the contract being diffed.
   string(APPEND expected "${out}")
 endforeach()
-string(APPEND script "stats\nquit\n")
+string(APPEND script "stats\nmetrics\nquit\n")
 file(WRITE ${WORK_DIR}/queries.txt "${script}")
 
-execute_process(
-  COMMAND ${CLI} serve --snapshot ${WORK_DIR}/s.bin
-  INPUT_FILE ${WORK_DIR}/queries.txt
-  OUTPUT_FILE ${WORK_DIR}/served.txt
-  ERROR_VARIABLE err
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve failed (${rc}): ${err}")
+# Runs the scripted session through `serve ${ARGN}`. The session ends with
+# the stats and metrics responses; everything before them must equal the
+# one-shot answers byte for byte and in order. Returns those two closing
+# lines in `tail_var`.
+function(serve_session tail_var)
+  execute_process(
+    COMMAND ${CLI} serve ${ARGN}
+    INPUT_FILE ${WORK_DIR}/queries.txt
+    OUTPUT_VARIABLE served
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "serve ${ARGN} failed (${rc}): ${err}")
+  endif()
+  string(FIND "${served}" "OK\tstats" stats_at)
+  if(stats_at EQUAL -1)
+    message(FATAL_ERROR "serve ${ARGN} session missing stats response: ${served}")
+  endif()
+  string(SUBSTRING "${served}" 0 ${stats_at} served_answers)
+  if(NOT served_answers STREQUAL expected)
+    message(FATAL_ERROR "serve ${ARGN} answers differ from one-shot answers.\n"
+            "served:\n${served_answers}\nexpected:\n${expected}")
+  endif()
+  string(SUBSTRING "${served}" ${stats_at} -1 served_tail)
+  set(${tail_var} "${served_tail}" PARENT_SCOPE)
+endfunction()
+
+serve_session(served_tail --snapshot ${WORK_DIR}/s.bin)
+if(NOT served_tail MATCHES "\tshards=1\n")
+  message(FATAL_ERROR "stats line does not end in shards=1: ${served_tail}")
 endif()
 
-file(READ ${WORK_DIR}/served.txt served)
-# The session ends with the stats response; everything before it must equal
-# the one-shot answers byte for byte.
-string(FIND "${served}" "OK\tstats" stats_at)
-if(stats_at EQUAL -1)
-  message(FATAL_ERROR "serve session missing stats response: ${served}")
-endif()
-string(SUBSTRING "${served}" 0 ${stats_at} served_answers)
-if(NOT served_answers STREQUAL expected)
-  message(FATAL_ERROR "serve answers differ from one-shot answers.\n"
-          "served:\n${served_answers}\nexpected:\n${expected}")
-endif()
+# Four shards, then four shards under admission control (every routed
+# request queued on a shard batcher): the same answers in the same order,
+# a stats line ending in shards=4, and at least one split mutex whose two
+# legs agreed.
+foreach(extra "" "--deadline-budget-ms;1000")
+  serve_session(served_tail --snapshot ${WORK_DIR}/s.bin --shards 4 ${extra})
+  if(NOT served_tail MATCHES "\tshards=4\n")
+    message(FATAL_ERROR "stats line does not end in shards=4 (${extra}): ${served_tail}")
+  endif()
+  if(NOT served_tail MATCHES "\"net\\.router\\.fanout\":([0-9]+)")
+    message(FATAL_ERROR "metrics missing net.router.fanout (${extra}): ${served_tail}")
+  endif()
+  if(CMAKE_MATCH_1 LESS 1)
+    message(FATAL_ERROR "no mutex line spanned two shards (${extra}): ${served_tail}")
+  endif()
+  if(NOT served_tail MATCHES "\"net\\.router\\.fanout_mismatch\":0[,}]")
+    message(FATAL_ERROR "split mutex legs disagreed (${extra}): ${served_tail}")
+  endif()
+endforeach()
 
 # The first query must actually have answered with instances.
 string(REPLACE "\t" ";" first_fields "${expected}")
@@ -169,27 +226,55 @@ endif()
 file(MAKE_DIRECTORY ${WORK_DIR}/publish)
 file(COPY ${WORK_DIR}/s.bin DESTINATION ${WORK_DIR}/publish)
 file(RENAME ${WORK_DIR}/publish/s.bin ${WORK_DIR}/publish/snap-1.bin)
-execute_process(
-  COMMAND ${CLI} serve --publish-dir ${WORK_DIR}/publish
-  INPUT_FILE ${WORK_DIR}/queries.txt
-  OUTPUT_FILE ${WORK_DIR}/served_hotswap.txt
-  ERROR_VARIABLE err
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "serve --publish-dir failed (${rc}): ${err}")
-endif()
-file(READ ${WORK_DIR}/served_hotswap.txt served_hotswap)
-string(FIND "${served_hotswap}" "OK\tstats" hotswap_stats_at)
-if(hotswap_stats_at EQUAL -1)
-  message(FATAL_ERROR "hot-swap session missing stats response: ${served_hotswap}")
-endif()
-string(SUBSTRING "${served_hotswap}" 0 ${hotswap_stats_at} hotswap_answers)
-if(NOT hotswap_answers STREQUAL expected)
-  message(FATAL_ERROR "hot-swap serve answers differ from one-shot answers.\n"
-          "served:\n${hotswap_answers}\nexpected:\n${expected}")
-endif()
+serve_session(hotswap_stats --publish-dir ${WORK_DIR}/publish)
 # The hot-swap stats line reports the serving generation.
-string(SUBSTRING "${served_hotswap}" ${hotswap_stats_at} -1 hotswap_stats)
 if(NOT hotswap_stats MATCHES "generation=1")
   message(FATAL_ERROR "hot-swap stats missing generation: ${hotswap_stats}")
+endif()
+
+# Usage errors exit 2: an integer flag out of the range of the option it
+# feeds, two snapshot sources, and --mmap without --snapshot. stdin is an
+# empty file, so a regression that starts serving still ends at once.
+file(WRITE ${WORK_DIR}/empty.txt "")
+foreach(bad
+    "--snapshot;${WORK_DIR}/s.bin;--shards;4294967296"
+    "--snapshot;${WORK_DIR}/s.bin;--publish-dir;${WORK_DIR}/publish"
+    "--publish-dir;${WORK_DIR}/publish;--mmap")
+  execute_process(
+    COMMAND ${CLI} serve ${bad}
+    INPUT_FILE ${WORK_DIR}/empty.txt
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "serve ${bad} should exit 2, got ${rc}: ${out} ${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${CLI} query --snapshot ${WORK_DIR}/s.bin
+          --connect unix:${WORK_DIR}/none.sock stats
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "query with --snapshot and --connect should exit 2, got ${rc}")
+endif()
+# The usage printed on exit 2 comes from the command table, so it lists
+# every flag query takes.
+execute_process(
+  COMMAND ${CLI} query --snapshot ${WORK_DIR}/s.bin --bogus stats
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--connect" OR NOT err MATCHES "--mmap")
+  message(FATAL_ERROR "query --bogus should exit 2 with a usage naming "
+          "--connect and --mmap, got ${rc}: ${err}")
+endif()
+# snapshot-verify takes the global --threads like every subcommand, and
+# refuses any other flag instead of opening it as a file.
+execute_process(
+  COMMAND ${CLI} snapshot-verify ${WORK_DIR}/s.bin --threads 2
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "snapshot-verify --threads 2 failed (${rc}): ${err}")
+endif()
+execute_process(
+  COMMAND ${CLI} snapshot-verify ${WORK_DIR}/s.bin --bogus
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "snapshot-verify --bogus should exit 2, got ${rc}")
 endif()

@@ -1,9 +1,10 @@
 # CTest script: tracing must be a pure observer. The same faulted supervised
 # run executed twice — once with every observability flag on, once with all
 # of them off — must produce byte-identical taxonomy, serving snapshot and
-# checkpoints. Any trace-conditional branch that leaks into pipeline state
-# (an iteration order change, an extra rounding, a skipped retry) fails the
-# compare_files below.
+# checkpoints, and the same holds for a streamed run's publish directory.
+# Any trace-conditional branch that leaks into pipeline state (an iteration
+# order change, an extra rounding, a skipped retry) fails the compare_files
+# below.
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR}/traced ${WORK_DIR}/plain)
 
@@ -72,24 +73,53 @@ foreach(artifact t.tsv s.bin)
   endif()
 endforeach()
 
-# Checkpoints too: same file set, same bytes.
-file(GLOB traced_ckpts RELATIVE ${WORK_DIR}/traced/ckpt ${WORK_DIR}/traced/ckpt/*)
-file(GLOB plain_ckpts RELATIVE ${WORK_DIR}/plain/ckpt ${WORK_DIR}/plain/ckpt/*)
-list(SORT traced_ckpts)
-list(SORT plain_ckpts)
-if(NOT traced_ckpts STREQUAL plain_ckpts)
-  message(FATAL_ERROR "tracing changed the checkpoint file set:\n"
-          "traced: ${traced_ckpts}\nplain: ${plain_ckpts}")
-endif()
-if(traced_ckpts STREQUAL "")
-  message(FATAL_ERROR "no checkpoints were written; the differential is vacuous")
-endif()
-foreach(ckpt IN LISTS traced_ckpts)
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/traced/ckpt/${ckpt} ${WORK_DIR}/plain/ckpt/${ckpt}
-    RESULT_VARIABLE same)
-  if(NOT same EQUAL 0)
-    message(FATAL_ERROR "tracing changed checkpoint ${ckpt}")
+# Directory `dir` (checkpoints, publishes) must hold the same non-empty file
+# set with the same bytes in the traced and the plain run.
+function(expect_same_dir dir)
+  file(GLOB traced_files RELATIVE ${WORK_DIR}/traced/${dir} ${WORK_DIR}/traced/${dir}/*)
+  file(GLOB plain_files RELATIVE ${WORK_DIR}/plain/${dir} ${WORK_DIR}/plain/${dir}/*)
+  list(SORT traced_files)
+  list(SORT plain_files)
+  if(NOT traced_files STREQUAL plain_files)
+    message(FATAL_ERROR "tracing changed the ${dir} file set:\n"
+            "traced: ${traced_files}\nplain: ${plain_files}")
   endif()
-endforeach()
+  if(traced_files STREQUAL "")
+    message(FATAL_ERROR "no ${dir} files were written; the differential is vacuous")
+  endif()
+  foreach(name IN LISTS traced_files)
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files
+              ${WORK_DIR}/traced/${dir}/${name} ${WORK_DIR}/plain/${dir}/${name}
+      RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+      message(FATAL_ERROR "tracing changed ${dir}/${name}")
+    endif()
+  endforeach()
+endfunction()
+
+# Checkpoints too: same file set, same bytes.
+expect_same_dir(ckpt)
+
+# `stream` takes the same trace flags: a traced run must record its epochs
+# (the trace is not empty) and publish exactly what an untraced run does.
+set(stream_args
+  stream --world ${WORK_DIR}/w.tsv --corpus ${WORK_DIR}/c.tsv --epochs 2)
+execute_process(
+  COMMAND ${CLI} ${stream_args} --publish-dir ${WORK_DIR}/traced/pub
+          --trace-out ${WORK_DIR}/traced/stream.jsonl
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "traced stream failed (${rc}): ${out} ${err}")
+endif()
+file(READ ${WORK_DIR}/traced/stream.jsonl stream_trace)
+if(NOT stream_trace MATCHES "\"name\":\"stream\\.epoch\"")
+  message(FATAL_ERROR "stream trace has no stream.epoch span: '${stream_trace}'")
+endif()
+execute_process(
+  COMMAND ${CLI} ${stream_args} --publish-dir ${WORK_DIR}/plain/pub
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "plain stream failed (${rc}): ${out} ${err}")
+endif()
+expect_same_dir(pub)

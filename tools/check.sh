@@ -2,7 +2,8 @@
 # One-command quality gates. Run from the repo root:
 #
 #   tools/check.sh [jobs]             sanitizer gate (ASan+UBSan suite, then
-#                                     the concurrency tests under TSan)
+#                                     the concurrency tests under TSan, then
+#                                     the stdin serve session under TSan)
 #   tools/check.sh --coverage [jobs]  gcov line-coverage gate: full suite in
 #                                     an instrumented tree, per-directory
 #                                     coverage table, hard floor of 80% on
@@ -215,4 +216,10 @@ for t in "${TSAN_TARGETS[@]}"; do
   "build-tsan/tests/$t"
 done
 
-echo "OK: ASan+UBSan suite and TSan concurrency tests all green"
+echo "== TSan: stdin serve through the router (cli_serve_roundtrip) =="
+# At --shards 4, and under admission control, pool threads complete stdin
+# answers (split mutex legs, queued requests) while the main thread waits.
+cmake --build build-tsan -j "$JOBS" --target semdrift_cli
+ctest --test-dir build-tsan -R cli_serve_roundtrip --output-on-failure
+
+echo "OK: ASan+UBSan suite, TSan concurrency tests and TSan serve session all green"

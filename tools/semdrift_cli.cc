@@ -1,129 +1,77 @@
 // semdrift — command-line driver for the library.
 //
-//   semdrift generate --scale 0.25 --seed 2014 --world w.tsv --corpus c.tsv
-//       Generate a ground-truth world + Hearst corpus and save both.
-//   semdrift run --world w.tsv --corpus c.tsv --out taxonomy.tsv
-//                [--snapshot-out s.bin]
-//                [--snapshot-delta-out d.bin --snapshot-delta-base s.bin
-//                 [--snapshot-delta-base-gen N]] [--no-clean]
-//                [--lenient] [--checkpoint-dir D [--resume] [--validate]
-//                [--keep-checkpoints N]] [--supervise] [--health-report]
-//                [--stage-deadline-ms N] [--max-retries N] [--quarantine on|off]
-//                [--fault-rate R --fault-seed N --fault-kinds K --fault-stages S]
-//                [--trace-out T.jsonl] [--trace-chrome T.json] [--metrics-out M.json]
-//       Load world+corpus, run iterative extraction (and DP cleaning unless
-//       --no-clean), report quality against ground truth, export the
-//       taxonomy. With --checkpoint-dir the run snapshots after every
-//       iteration and --resume continues from the latest valid snapshot.
-//       --supervise (implied by --health-report or --fault-rate > 0) runs
-//       the cleaning stages under the supervision layer: per-concept
-//       deadlines, bounded retries and quarantine, with --health-report
-//       printing the per-concept outcome table. The --fault-* flags enable
-//       seeded compute-fault injection (kinds: throw,stall,nan; stages:
-//       warm,collect,train,score) for robustness drills. --trace-out /
-//       --trace-chrome enable span recording and export the trace as JSONL /
-//       Chrome trace_event JSON (loadable in chrome://tracing);
-//       --metrics-out dumps the process metrics registry. Tracing never
-//       changes any output byte: spans record only from serial driver
-//       contexts, so checkpoints, taxonomy and snapshot are bit-identical
-//       with tracing on or off.
-//   semdrift stream --world w.tsv --corpus c.tsv --epochs N
-//                   [--full-rebuild-every K] [--no-final-rebuild]
-//                   [--rebuild-dirty-frac F] [--publish-dir D]
-//                   [--epoch-snapshots D2] [--max-iterations N] [--max-rounds N]
-//                   [--epoch-sleep-ms N] [--metrics-out M.json]
-//       Streaming incremental extraction: replay the corpus as N timestamped
-//       epochs. Each epoch ingests its sentence delta, continues iterative
-//       extraction, re-runs DP detection/cleaning scoped to the dirty concept
-//       set (concepts the new records touched, closed over shared live
-//       instances), revalidates through the replay path, and — with
-//       --publish-dir — publishes the result for a live `serve --publish-dir`
-//       to hot-swap: full snap-<gen>.bin on rebuild epochs, CRC-bound
-//       delta-<gen>.bin otherwise. Epoch k is a full rebuild when
-//       --full-rebuild-every divides k, when the dirty set exceeds
-//       --rebuild-dirty-frac of the world, and always on the final epoch
-//       unless --no-final-rebuild: a rebuild re-runs the whole batch pipeline
-//       over the cumulative corpus, so the stream's final state is
-//       byte-identical to a one-shot `run` over the same files.
-//       --epoch-snapshots writes every epoch's full image as epoch-<k>.bin
-//       (the per-epoch reference the soak test diffs live answers against);
-//       --epoch-sleep-ms paces publishes so a watching server observes every
-//       generation.
-//   semdrift serve --snapshot s.bin | --publish-dir D [--poll-ms N]
-//                  [--mmap] [--cache N] [--cache-shards N]
-//                  [--max-batch N] [--max-wait-ms N] [--deadline-ms N]
-//                  [--deadline-budget-ms N] [--stats-interval-ms N]
-//                  [--listen tcp:host:port|unix:/path [--shards N]]
-//       Load a serving snapshot and answer line-protocol queries on
-//       stdin/stdout (instances-of, concepts-of, is-a, drift-score, mutex,
-//       stats, metrics; `quit` exits). Requests are coalesced into batches
-//       and executed on the thread pool; responses come back in request
-//       order. With --publish-dir the server instead watches a publish
-//       directory (snap-<gen>.bin full images, delta-<gen>.bin deltas) and
-//       hot-swaps generations atomically: in-flight queries finish on the
-//       old generation, corrupt publishes are quarantined (renamed
-//       *.quarantined) and serving rolls back to the last good generation.
-//       --deadline-budget-ms > 0 enables admission control: when the p99
-//       queue wait crosses the budget, low-priority requests are refused
-//       with an OVERLOADED response instead of queueing to death.
-//       --stats-interval-ms > 0 prints a serving-stats snapshot to stderr
-//       every N milliseconds. --mmap opens the snapshot zero-copy with
-//       per-section CRC validation deferred to first touch (fast cold
-//       start; corrupt sections fail only the verbs that touch them).
-//       --listen serves the same protocol on a TCP or unix socket instead
-//       of stdin/stdout (epoll front-end, pipelining with responses in
-//       request order); --shards N partitions the concept space over N
-//       workers by consistent hash, byte-identical answers at any shard
-//       count, with `stats` merged across shards. Under --listen, requests
-//       owned by one shard are answered inline on the event-loop thread;
-//       --max-batch, --max-wait-ms and --deadline-ms apply only to queued
-//       requests: the two legs of a tab-form mutex whose concepts live on
-//       different shards, and every request when --deadline-budget-ms > 0.
-//       SIGINT/SIGTERM shut the socket server down cleanly.
-//   semdrift query (--snapshot s.bin [--mmap] | --connect EP) <verb> <args...>
-//       One-shot: answer a single query and exit. --snapshot opens the
-//       file directly; --connect round-trips the query to a serve --listen
-//       endpoint (same address grammar). Exit codes form the
-//       scripting contract shared with serve's line protocol: 0 = OK,
-//       1 = ERR, 2 = usage, 3 = NOT_FOUND (miss), 4 = OVERLOADED (shed by
-//       admission control). Each shell
-//       argument becomes one protocol field, so multi-word names need
-//       quoting, not tabs.
-//   semdrift snapshot-verify <base> [delta...]
-//       Check snapshot framing (magic, version, CRCs) and deep structure
-//       (CSR monotonicity, id bounds, rank permutations, string-table
-//       bounds). With delta files, verifies the whole publish chain: each
-//       delta must load strictly, bind to the previous image's CRC32, and
-//       materialize an image that passes the same deep validation. Exits
-//       non-zero on any corruption.
-//   semdrift fuzz-load [--count 200] [--seed 2014] [--scale 0.05] [--dir D]
-//       Fault-injection sweep: corrupt world/corpus/checkpoint/snapshot/
-//       delta files in seeded, targeted ways and prove every loader
-//       survives — each corruption must yield a clean Status (strict) or a
-//       fully-accounted LoadReport (lenient), never a crash or silent
-//       half-load. Delta corruptions that slip past the loader must still
-//       materialize into a snapshot that passes deep validation.
+// Every subcommand is one row of kCommands (bottom of this file): its
+// positional arguments and, for each flag, the name, kind, metavar, default
+// and integer bounds. The parser, the usage text printed on exit 2, the
+// global --threads and the trace/metrics exports all work from that table,
+// so it is the only list of flags; `semdrift` with no arguments prints it.
 //
-// Every subcommand is deterministic in --seed. Unknown flags, missing flag
-// values and non-numeric values for numeric flags exit non-zero.
+//   generate         Generate a ground-truth world + Hearst corpus and save
+//                    both.
+//   run              Load world + corpus, run iterative extraction and DP
+//                    cleaning, report quality against ground truth, and
+//                    export the taxonomy (plus, on request, a serving
+//                    snapshot or a delta against an earlier one). A
+//                    checkpointed run snapshots after every iteration and
+//                    can resume from the latest valid snapshot. Supervision
+//                    runs the cleaning stages with per-concept deadlines,
+//                    bounded retries and quarantine, and can inject seeded
+//                    compute faults for robustness drills. Tracing never
+//                    changes an output byte: spans record only from serial
+//                    driver contexts, so checkpoints, taxonomy and snapshot
+//                    are bit-identical with tracing on or off.
+//   stream           Streaming incremental extraction: replay the corpus as
+//                    N timestamped epochs. Each epoch ingests its sentence
+//                    delta, continues extraction, re-runs DP cleaning
+//                    scoped to the dirty concept set, revalidates through
+//                    the replay path, and can publish the result for a live
+//                    `serve --publish-dir` (full snap-<gen>.bin on rebuild
+//                    epochs, CRC-bound delta-<gen>.bin otherwise). A rebuild
+//                    re-runs the batch pipeline over the cumulative corpus,
+//                    so the final state is byte-identical to `run`.
+//   parse            Run the Hearst parser over sentences on stdin.
+//   serve            Answer the line protocol (instances-of, concepts-of,
+//                    is-a, drift-score, mutex, stats, metrics) from one
+//                    snapshot or from a publish directory that is hot-swapped
+//                    generation by generation (corrupt publishes are
+//                    quarantined and serving stays on the last good one).
+//                    One ShardRouter answers every request, partitioning the
+//                    concept space over N shards by consistent hash with
+//                    byte-identical answers at any shard count. Front ends:
+//                    stdin/stdout, one line at a time (`quit` exits), or a
+//                    TCP/unix socket with pipelining until SIGINT/SIGTERM.
+//   query            One-shot: answer a single query from a snapshot file or
+//                    a running `serve --listen`. Exit codes form the
+//                    scripting contract shared with serve's line protocol:
+//                    0 OK, 1 ERR, 2 usage, 3 NOT_FOUND, 4 OVERLOADED. Each
+//                    shell argument becomes one protocol field.
+//   snapshot-verify  Check snapshot framing (magic, version, CRCs) and deep
+//                    structure; with delta files, the whole publish chain.
+//   fuzz-load        Corrupt world/corpus/checkpoint/snapshot/delta files in
+//                    seeded, targeted ways and prove every loader yields a
+//                    clean Status or a fully-accounted LoadReport.
+//   scenario-run / scenario-hunt / scenario-sample
+//                    Replay, hunt for and sample adversarial drift scenarios.
+//
+// Every subcommand is deterministic in its seeds, and results are identical
+// at any thread count. Usage errors (unknown flags, missing or malformed
+// values, out-of-range integers) exit 2.
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <future>
 #include <iostream>
-#include <mutex>
-#include <set>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "corpus/serialization.h"
@@ -142,7 +90,6 @@
 #include "scenario/hunt.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
-#include "serve/batcher.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_delta.h"
@@ -150,7 +97,6 @@
 #include "stream/stream.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -158,131 +104,147 @@ using namespace semdrift;
 
 namespace {
 
-/// Command-line flag parser. Each subcommand declares which flags take a
-/// value and which are boolean, so `--no-clean` can never shift a later
-/// `--name value` pair out of alignment, and an unknown or malformed flag
-/// is a hard error instead of a note on stderr.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first, std::set<std::string> valued,
-        std::set<std::string> boolean) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (!StartsWith(arg, "--")) {
-        Fail("unexpected argument: " + arg);
-        return;
-      }
-      std::string name = arg.substr(2);
-      if (boolean.count(name) > 0) {
-        present_.insert(name);
-      } else if (valued.count(name) > 0) {
-        if (i + 1 >= argc) {
-          Fail("missing value for --" + name);
-          return;
-        }
-        values_[name] = argv[++i];
-      } else {
-        Fail("unknown flag --" + name);
-        return;
-      }
-    }
-  }
+/// How a flag's value is read. Booleans take no value.
+enum class Kind { kBool, kString, kInt, kReal };
 
-  bool ok() const { return error_.empty(); }
-  const std::string& error() const { return error_; }
-
-  std::string Get(const std::string& name, const std::string& fallback) const {
-    auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-  /// Numeric accessors refuse garbage: `--scale abc` is a fatal error, not
-  /// a silent 0.0.
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    double value = 0.0;
-    if (!ParseDouble(it->second, &value)) DieBadValue(name, it->second);
-    return value;
-  }
-  uint64_t GetUint(const std::string& name, uint64_t fallback) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) return fallback;
-    uint64_t value = 0;
-    if (!ParseUint64(it->second, &value)) DieBadValue(name, it->second);
-    return value;
-  }
-  bool Has(const std::string& name) const { return present_.count(name) > 0; }
-
- private:
-  void Fail(const std::string& why) { error_ = why; }
-  [[noreturn]] static void DieBadValue(const std::string& name,
-                                       const std::string& value) {
-    std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                 value.c_str());
-    std::exit(2);
-  }
-
-  std::unordered_map<std::string, std::string> values_;
-  std::set<std::string> present_;
-  std::string error_;
+/// One flag of a subcommand. An integer value outside [min, max] is a usage
+/// error, and every bound fits the option the flag feeds, so no narrowing
+/// of a parsed value can wrap.
+struct FlagSpec {
+  const char* name;
+  Kind kind;
+  const char* metavar = "";
+  /// Default in command-line form; "" leaves the flag unset (the option
+  /// keeps its library default).
+  const char* fallback = "";
+  uint64_t min = 0;
+  uint64_t max = 0;
 };
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  semdrift generate --scale S --seed N --world W --corpus C\n"
-      "  semdrift run --world W --corpus C --out T.tsv [--snapshot-out S]\n"
-      "               [--snapshot-delta-out D --snapshot-delta-base S\n"
-      "               [--snapshot-delta-base-gen N]]\n"
-      "               [--no-clean] [--lenient]\n"
-      "               [--checkpoint-dir D [--resume] [--validate]\n"
-      "               [--keep-checkpoints N]] [--supervise] [--health-report]\n"
-      "               [--stage-deadline-ms N] [--max-retries N]\n"
-      "               [--quarantine on|off] [--fault-rate R] [--fault-seed N]\n"
-      "               [--fault-kinds throw,stall,nan]\n"
-      "               [--fault-stages warm,collect,train,score]\n"
-      "               [--trace-out T.jsonl] [--trace-chrome T.json]\n"
-      "               [--metrics-out M.json]\n"
-      "  semdrift stream --world W --corpus C --epochs N\n"
-      "               [--full-rebuild-every K] [--no-final-rebuild]\n"
-      "               [--rebuild-dirty-frac F] [--publish-dir D]\n"
-      "               [--epoch-snapshots D2] [--max-iterations N]\n"
-      "               [--max-rounds N] [--epoch-sleep-ms N]\n"
-      "               [--metrics-out M.json]\n"
-      "  semdrift parse --world W   (sentences on stdin)\n"
-      "  semdrift serve --snapshot S | --publish-dir D [--poll-ms N]\n"
-      "               [--mmap] [--cache N] [--cache-shards N]\n"
-      "               [--max-batch N] [--max-wait-ms N] [--deadline-ms N]\n"
-      "               [--deadline-budget-ms N] [--stats-interval-ms N]\n"
-      "               [--listen tcp:host:port|unix:/path [--shards N]]\n"
-      "               (with --listen, --max-batch, --max-wait-ms and\n"
-      "               --deadline-ms apply only to queued requests: split\n"
-      "               mutex legs, and all requests when\n"
-      "               --deadline-budget-ms > 0)\n"
-      "  semdrift query --snapshot S <verb> <args...>\n"
-      "               (exit: 0 OK, 1 ERR, 2 usage, 3 NOT_FOUND, 4 OVERLOADED)\n"
-      "  semdrift snapshot-verify <base> [delta...]\n"
-      "  semdrift fuzz-load [--count N] [--seed N] [--scale S] [--dir D]\n"
-      "  semdrift scenario-run <file.toml>... [--verbose] [--pin-envelope]\n"
-      "               (exit: 0 all pass, 1 violations, 2 usage)\n"
-      "  semdrift scenario-hunt [--seed N] [--samples N] [--archetype A]\n"
-      "               [--floor F] [--margin M] [--no-shrink]\n"
-      "               [--max-shrink-evals N] [--out-dir D]\n"
-      "  semdrift scenario-sample --seed N [--archetype A] [--out F]\n"
-      "\n"
-      "Every subcommand accepts --threads N (default: SEMDRIFT_THREADS env\n"
-      "var, then hardware concurrency). Results are identical at any thread\n"
-      "count.\n");
-  return 2;
+constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+constexpr uint64_t kU32Max = std::numeric_limits<uint32_t>::max();
+constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+
+FlagSpec BoolFlag(const char* name) { return {name, Kind::kBool}; }
+FlagSpec StrFlag(const char* name, const char* metavar, const char* fallback = "") {
+  return {name, Kind::kString, metavar, fallback};
+}
+FlagSpec RealFlag(const char* name, const char* metavar, const char* fallback = "") {
+  return {name, Kind::kReal, metavar, fallback};
+}
+FlagSpec IntFlag(const char* name, const char* metavar, const char* fallback,
+                 uint64_t max = kIntMax, uint64_t min = 0) {
+  return {name, Kind::kInt, metavar, fallback, min, max};
 }
 
-/// Applies the global --threads control (0 = auto: SEMDRIFT_THREADS env var,
-/// then hardware concurrency). Parallel stages are bit-deterministic, so
-/// this only changes wall-clock time, never output.
-void ApplyThreadsFlag(const Flags& flags) {
-  SetGlobalThreadCount(static_cast<int>(flags.GetUint("threads", 0)));
-}
+/// Accepted by every subcommand (0 = auto: SEMDRIFT_THREADS env var, then
+/// hardware concurrency). Parallel stages are bit-deterministic, so this
+/// only changes wall-clock time, never output.
+const FlagSpec kThreadsFlag = IntFlag("threads", "N", "0");
+
+class Args;
+
+/// One row of the command table.
+struct Command {
+  const char* name;
+  /// Positional arguments as the usage shows them; "" takes none, anything
+  /// else requires at least one.
+  const char* positional;
+  std::vector<FlagSpec> flags;
+  int (*run)(const Args&);
+  /// Extra usage text.
+  const char* note = "";
+
+  /// The row's flag named `flag`, or --threads, or null.
+  const FlagSpec* Find(std::string_view flag) const {
+    if (flag == kThreadsFlag.name) return &kThreadsFlag;
+    for (const FlagSpec& spec : flags) {
+      if (flag == spec.name) return &spec;
+    }
+    return nullptr;
+  }
+};
+
+/// A command line parsed against one row of the table. Accessors return
+/// the given value or the row's default; a flag the row does not declare
+/// reads as unset.
+class Args {
+ public:
+  explicit Args(const Command* command) : command_(command) {}
+
+  /// Parses argv[2..]. Flags may appear anywhere; an argument that does not
+  /// start with "--" is positional. Every value is checked against its
+  /// flag's kind and bounds here, before the command does any work. Returns
+  /// the usage error, or "" when the line is valid.
+  std::string Parse(int argc, char** argv) {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (!StartsWith(arg, "--")) {
+        if (*command_->positional == '\0') return "unexpected argument: " + arg;
+        positional_.push_back(arg);
+        continue;
+      }
+      const FlagSpec* flag = command_->Find(std::string_view(arg).substr(2));
+      if (flag == nullptr) return "unknown flag " + arg;
+      if (flag->kind == Kind::kBool) {
+        given_[flag->name] = "";
+        continue;
+      }
+      if (i + 1 >= argc) return "missing value for " + arg;
+      const std::string value = argv[++i];
+      double real = 0.0;
+      uint64_t integer = 0;
+      const bool valid =
+          flag->kind == Kind::kString ||
+          (flag->kind == Kind::kReal && ParseDouble(value, &real)) ||
+          (flag->kind == Kind::kInt && ParseUint64(value, &integer) &&
+           integer >= flag->min && integer <= flag->max);
+      if (!valid) return "invalid value for " + arg + ": '" + value + "'";
+      given_[flag->name] = value;
+    }
+    if (*command_->positional != '\0' && positional_.empty()) {
+      return std::string("missing ") + command_->positional;
+    }
+    return "";
+  }
+
+  const std::vector<std::string>& positional() const { return positional_; }
+
+  /// True when the flag was given on the command line.
+  bool Has(std::string_view name) const { return given_.find(name) != given_.end(); }
+  std::string Str(std::string_view name) const {
+    auto it = given_.find(name);
+    if (it != given_.end()) return it->second;
+    const FlagSpec* spec = command_->Find(name);
+    return spec != nullptr ? spec->fallback : "";
+  }
+  /// Real flag (0 when unset without a default).
+  double Real(std::string_view name) const {
+    double value = 0.0;
+    ParseDouble(Str(name), &value);
+    return value;
+  }
+  /// Integer flag narrowed to the type of the option it feeds. This is the
+  /// one place a flag value is narrowed: Parse() held it to the table's
+  /// bounds, and a bound wider than T is refused here rather than wrapped.
+  template <typename T = uint64_t>
+  T Int(std::string_view name) const {
+    uint64_t value = 0;
+    ParseUint64(Str(name), &value);
+    if (value > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+      std::fprintf(stderr, "invalid value for --%.*s: '%llu'\n",
+                   static_cast<int>(name.size()), name.data(),
+                   static_cast<unsigned long long>(value));
+      std::exit(2);
+    }
+    return static_cast<T>(value);
+  }
+
+ private:
+  const Command* command_;
+  std::map<std::string, std::string, std::less<>> given_;
+  std::vector<std::string> positional_;
+};
 
 /// Prints lenient-load damage so skipped lines are visible, not silent.
 void ReportSkips(const char* what, const LoadReport& report) {
@@ -302,14 +264,13 @@ void ReportSkips(const char* what, const LoadReport& report) {
   }
 }
 
-int Generate(const Flags& flags) {
-  ApplyThreadsFlag(flags);
-  ExperimentConfig config = PaperScaleConfig(flags.GetDouble("scale", 0.25));
-  config.seed = flags.GetUint("seed", 2014);
+int Generate(const Args& args) {
+  ExperimentConfig config = PaperScaleConfig(args.Real("scale"));
+  config.seed = args.Int("seed");
   config.corpus.render_text = true;
   auto experiment = Experiment::Build(config);
-  std::string world_path = flags.Get("world", "world.tsv");
-  std::string corpus_path = flags.Get("corpus", "corpus.tsv");
+  std::string world_path = args.Str("world");
+  std::string corpus_path = args.Str("corpus");
   Status s = SaveWorld(experiment->world(), world_path);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -328,10 +289,43 @@ int Generate(const Flags& flags) {
   return 0;
 }
 
+/// The world and corpus `run` and `stream` read (--world, --corpus;
+/// --lenient skips and reports malformed lines), and the all-concepts
+/// scope both score against.
+struct Inputs {
+  World world;
+  Corpus corpus;
+  std::vector<ConceptId> scope;
+};
+
+std::optional<Inputs> LoadInputs(const Args& args) {
+  LoadOptions load_options;
+  if (args.Has("lenient")) load_options.mode = LoadOptions::Mode::kLenient;
+  LoadReport world_report;
+  auto world = LoadWorld(args.Str("world"), load_options, &world_report);
+  if (!world.ok()) {
+    std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
+    return std::nullopt;
+  }
+  ReportSkips("world", world_report);
+  LoadReport corpus_report;
+  auto corpus = LoadCorpus(*world, args.Str("corpus"), load_options, &corpus_report);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
+    return std::nullopt;
+  }
+  ReportSkips("corpus", corpus_report);
+  std::optional<Inputs> in(Inputs{std::move(*world), std::move(*corpus), {}});
+  for (size_t ci = 0; ci < in->world.num_concepts(); ++ci) {
+    in->scope.push_back(ConceptId(static_cast<uint32_t>(ci)));
+  }
+  return in;
+}
+
 /// Exports the observability artifacts a successful run asked for
 /// (--trace-out / --trace-chrome / --metrics-out), naming each on stdout.
-int WriteObsArtifacts(const Flags& flags) {
-  std::string trace_out = flags.Get("trace-out", "");
+int WriteObsArtifacts(const Args& args) {
+  std::string trace_out = args.Str("trace-out");
   if (!trace_out.empty()) {
     std::string error;
     if (!GlobalTrace().WriteJsonl(trace_out, &error)) {
@@ -340,7 +334,7 @@ int WriteObsArtifacts(const Flags& flags) {
     }
     std::printf("trace -> %s\n", trace_out.c_str());
   }
-  std::string trace_chrome = flags.Get("trace-chrome", "");
+  std::string trace_chrome = args.Str("trace-chrome");
   if (!trace_chrome.empty()) {
     std::string error;
     if (!GlobalTrace().WriteChromeTrace(trace_chrome, &error)) {
@@ -349,7 +343,7 @@ int WriteObsArtifacts(const Flags& flags) {
     }
     std::printf("chrome trace -> %s\n", trace_chrome.c_str());
   }
-  std::string metrics_out = flags.Get("metrics-out", "");
+  std::string metrics_out = args.Str("metrics-out");
   if (!metrics_out.empty()) {
     Status s = WriteStringToFile(GlobalMetrics().ToJson() + "\n", metrics_out);
     if (!s.ok()) {
@@ -361,37 +355,45 @@ int WriteObsArtifacts(const Flags& flags) {
   return 0;
 }
 
-/// Successful runs name every artifact they wrote (taxonomy, checkpoints,
-/// snapshot) on stdout so serve/query commands can be chained in scripts.
-/// Writing the serving snapshot is part of the run: a KB that fails
-/// validation fails the run rather than becoming a corrupt snapshot.
-int FinishRun(const Flags& flags, const KnowledgeBase& kb, const World& world,
-              size_t num_sentences, const RunHealthReport* health,
-              const std::string& taxonomy_path, const std::string& checkpoint_dir) {
+/// Exports the taxonomy and names every artifact the run wrote (taxonomy,
+/// checkpoints, snapshot, delta) on stdout so serve/query commands can be
+/// chained in scripts. Writing the serving snapshot is part of the run: a
+/// KB that fails validation fails the run rather than becoming a corrupt
+/// snapshot.
+int FinishRun(const Args& args, const KnowledgeBase& kb, const Inputs& in,
+              const RunHealthReport* health) {
+  const std::string taxonomy_path = args.Str("out");
+  Status s = ExportTaxonomyTsv(kb, in.world, taxonomy_path);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
   std::printf("taxonomy -> %s\n", taxonomy_path.c_str());
+  const std::string checkpoint_dir = args.Str("checkpoint-dir");
   if (!checkpoint_dir.empty()) {
     std::printf("checkpoints -> %s\n", checkpoint_dir.c_str());
   }
-  std::string snapshot_path = flags.Get("snapshot-out", "");
+  const size_t num_sentences = in.corpus.sentences.size();
+  std::string snapshot_path = args.Str("snapshot-out");
   if (!snapshot_path.empty()) {
-    Status s = WriteServingSnapshot(kb, world, num_sentences, health, snapshot_path);
+    s = WriteServingSnapshot(kb, in.world, num_sentences, health, snapshot_path);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
     std::printf("snapshot -> %s\n", snapshot_path.c_str());
   }
-  std::string delta_path = flags.Get("snapshot-delta-out", "");
+  std::string delta_path = args.Str("snapshot-delta-out");
   if (!delta_path.empty()) {
-    std::string base_path = flags.Get("snapshot-delta-base", "");
+    std::string base_path = args.Str("snapshot-delta-base");
     if (base_path.empty()) {
       std::fprintf(stderr,
                    "--snapshot-delta-out requires --snapshot-delta-base\n");
       return 2;
     }
-    uint64_t base_gen = flags.GetUint("snapshot-delta-base-gen", 1);
-    Status s = WriteServingSnapshotDelta(kb, world, num_sentences, health,
-                                         base_path, base_gen, delta_path);
+    uint64_t base_gen = args.Int("snapshot-delta-base-gen");
+    s = WriteServingSnapshotDelta(kb, in.world, num_sentences, health, base_path,
+                                  base_gen, delta_path);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -399,55 +401,59 @@ int FinishRun(const Flags& flags, const KnowledgeBase& kb, const World& world,
     std::printf("snapshot delta -> %s (generation %llu)\n", delta_path.c_str(),
                 static_cast<unsigned long long>(base_gen + 1));
   }
-  return WriteObsArtifacts(flags);
+  return 0;
 }
 
-int Run(const Flags& flags) {
-  ApplyThreadsFlag(flags);
-  if (!flags.Get("trace-out", "").empty() ||
-      !flags.Get("trace-chrome", "").empty()) {
-    GlobalTrace().Enable(true);
+/// Replaces `*out` with the comma-separated list given as --`name`, each
+/// element read by `parse`; a bad element is a usage error (false).
+template <typename T>
+bool ParseListFlag(const Args& args, const char* name,
+                   bool (*parse)(std::string_view, T*), const char* expected,
+                   std::vector<T>* out) {
+  const std::string list = args.Str(name);
+  if (list.empty()) return true;
+  out->clear();
+  for (const std::string& item : Split(list, ',')) {
+    T value;
+    if (!parse(item, &value)) {
+      std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
+                   name, item.c_str(), expected);
+      return false;
+    }
+    out->push_back(value);
   }
-  LoadOptions load_options;
-  if (flags.Has("lenient")) load_options.mode = LoadOptions::Mode::kLenient;
-  LoadReport world_report;
-  auto world = LoadWorld(flags.Get("world", "world.tsv"), load_options, &world_report);
-  if (!world.ok()) {
-    std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
-    return 1;
-  }
-  ReportSkips("world", world_report);
-  LoadReport corpus_report;
-  auto corpus = LoadCorpus(*world, flags.Get("corpus", "corpus.tsv"), load_options,
-                           &corpus_report);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-  ReportSkips("corpus", corpus_report);
+  return true;
+}
 
-  std::string checkpoint_dir = flags.Get("checkpoint-dir", "");
-  if (checkpoint_dir.empty() && flags.Has("resume")) {
+int Run(const Args& args) {
+  CheckpointConfig checkpoint;
+  checkpoint.dir = args.Str("checkpoint-dir");
+  checkpoint.resume = args.Has("resume");
+  if (checkpoint.dir.empty() && checkpoint.resume) {
     std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
     return 2;
   }
+  checkpoint.validate_each_iteration = args.Has("validate");
+  checkpoint.keep_last = args.Int<int>("keep-checkpoints");
+  auto in = LoadInputs(args);
+  if (!in) return 1;
+  const World& world = in->world;
+  const SentenceStore& sentences = in->corpus.sentences;
+  checkpoint.num_concepts = world.num_concepts();
+  checkpoint.num_sentences = sentences.size();
+  GroundTruth truth(&world);
+  auto verified = [&world](const IsAPair& pair) {
+    return world.IsVerified(pair.concept_id, pair.instance);
+  };
 
-  GroundTruth truth(&*world);
-  std::vector<ConceptId> scope;
-  for (size_t ci = 0; ci < world->num_concepts(); ++ci) {
-    scope.push_back(ConceptId(static_cast<uint32_t>(ci)));
-  }
-
-  double fault_rate = flags.GetDouble("fault-rate", 0.0);
+  double fault_rate = args.Real("fault-rate");
   bool supervise =
-      flags.Has("supervise") || flags.Has("health-report") || fault_rate > 0.0;
+      args.Has("supervise") || args.Has("health-report") || fault_rate > 0.0;
   if (supervise) {
     SupervisedRunConfig config;
-    config.supervisor.stage_deadline_ms =
-        static_cast<int>(flags.GetUint("stage-deadline-ms", 30000));
-    config.supervisor.max_retries =
-        static_cast<int>(flags.GetUint("max-retries", 2));
-    std::string quarantine = flags.Get("quarantine", "on");
+    config.supervisor.stage_deadline_ms = args.Int<int>("stage-deadline-ms");
+    config.supervisor.max_retries = args.Int<int>("max-retries");
+    std::string quarantine = args.Str("quarantine");
     if (quarantine == "on") {
       config.supervisor.quarantine = true;
     } else if (quarantine == "off") {
@@ -458,59 +464,27 @@ int Run(const Flags& flags) {
       return 2;
     }
     config.faults.rate = fault_rate;
-    config.faults.seed = flags.GetUint("fault-seed", 2014);
-    std::string kinds = flags.Get("fault-kinds", "");
-    if (!kinds.empty()) {
-      config.faults.kinds.clear();
-      for (const std::string& name : Split(kinds, ',')) {
-        ComputeFaultKind kind;
-        if (!ParseComputeFaultKind(name, &kind)) {
-          std::fprintf(stderr,
-                       "invalid value for --fault-kinds: '%s' (expected "
-                       "throw|stall|nan)\n",
-                       name.c_str());
-          return 2;
-        }
-        config.faults.kinds.push_back(kind);
-      }
+    config.faults.seed = args.Int("fault-seed");
+    if (!ParseListFlag(args, "fault-kinds", ParseComputeFaultKind,
+                       "throw|stall|nan", &config.faults.kinds) ||
+        !ParseListFlag(args, "fault-stages", ParsePipelineStage,
+                       "warm|collect|train|score", &config.faults.stages)) {
+      return 2;
     }
-    std::string stages = flags.Get("fault-stages", "");
-    if (!stages.empty()) {
-      config.faults.stages.clear();
-      for (const std::string& name : Split(stages, ',')) {
-        PipelineStage stage;
-        if (!ParsePipelineStage(name, &stage)) {
-          std::fprintf(stderr,
-                       "invalid value for --fault-stages: '%s' (expected "
-                       "warm|collect|train|score)\n",
-                       name.c_str());
-          return 2;
-        }
-        config.faults.stages.push_back(stage);
-      }
-    }
-    config.checkpoint.dir = checkpoint_dir;
-    config.checkpoint.resume = flags.Has("resume");
-    config.checkpoint.validate_each_iteration = flags.Has("validate");
-    config.checkpoint.keep_last =
-        static_cast<int>(flags.GetUint("keep-checkpoints", 0));
-    config.clean = !flags.Has("no-clean");
+    config.checkpoint = checkpoint;
+    config.clean = !args.Has("no-clean");
 
-    const World* world_ptr = &*world;
-    IterativeExtractor extractor(&corpus->sentences, ExtractorOptions{});
-    auto run = RunSupervisedPipeline(
-        &extractor, &corpus->sentences,
-        [world_ptr](const IsAPair& pair) {
-          return world_ptr->IsVerified(pair.concept_id, pair.instance);
-        },
-        world->num_concepts(), corpus->sentences.size(), scope, config);
+    IterativeExtractor extractor(&sentences, ExtractorOptions{});
+    auto run = RunSupervisedPipeline(&extractor, &sentences, verified,
+                                     world.num_concepts(), sentences.size(),
+                                     in->scope, config);
     if (!run.ok()) {
       std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
       return 1;
     }
     std::printf("supervised run: %zu iterations, %zu live pairs (precision %.3f)\n",
                 run->stats.size(), run->kb.num_live_pairs(),
-                LivePairPrecision(truth, run->kb, scope));
+                LivePairPrecision(truth, run->kb, in->scope));
     if (config.clean) {
       std::printf("cleaned: %d rounds, %zu DPs, %zu -> %zu pairs\n",
                   run->cleaning.rounds,
@@ -526,30 +500,16 @@ int Run(const Flags& flags) {
                 health.CountWithOutcome(ConceptOutcome::kRetried),
                 health.num_drops(),
                 health.detector_fallback() ? ", detector fell back" : "");
-    if (flags.Has("health-report")) {
+    if (args.Has("health-report")) {
       std::printf("%s", health.ToTable().c_str());
     }
-    std::string out = flags.Get("out", "taxonomy.tsv");
-    Status s = ExportTaxonomyTsv(run->kb, *world, out);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    return FinishRun(flags, run->kb, *world, corpus->sentences.size(),
-                     &run->health, out, checkpoint_dir);
+    return FinishRun(args, run->kb, *in, &run->health);
   }
 
   KnowledgeBase kb;
-  IterativeExtractor extractor(&corpus->sentences, ExtractorOptions{});
+  IterativeExtractor extractor(&sentences, ExtractorOptions{});
   std::vector<IterationStats> iterations;
-  if (!checkpoint_dir.empty()) {
-    CheckpointConfig checkpoint;
-    checkpoint.dir = checkpoint_dir;
-    checkpoint.resume = flags.Has("resume");
-    checkpoint.validate_each_iteration = flags.Has("validate");
-    checkpoint.keep_last = static_cast<int>(flags.GetUint("keep-checkpoints", 0));
-    checkpoint.num_concepts = world->num_concepts();
-    checkpoint.num_sentences = corpus->sentences.size();
+  if (!checkpoint.dir.empty()) {
     auto run = RunWithCheckpoints(&extractor, &kb, checkpoint);
     if (!run.ok()) {
       std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
@@ -561,74 +521,37 @@ int Run(const Flags& flags) {
   }
   std::printf("extracted %zu pairs in %zu iterations (precision %.3f)\n",
               kb.num_live_pairs(), iterations.size(),
-              LivePairPrecision(truth, kb, scope));
+              LivePairPrecision(truth, kb, in->scope));
 
-  if (!flags.Has("no-clean")) {
+  if (!args.Has("no-clean")) {
     CleanerOptions options;
-    const World* world_ptr = &*world;
-    DpCleaner cleaner(
-        &corpus->sentences,
-        [world_ptr](const IsAPair& pair) {
-          return world_ptr->IsVerified(pair.concept_id, pair.instance);
-        },
-        world->num_concepts(), options);
-    CleaningReport report = cleaner.Clean(&kb, scope);
+    DpCleaner cleaner(&sentences, verified, world.num_concepts(), options);
+    CleaningReport report = cleaner.Clean(&kb, in->scope);
     std::printf("cleaned: %d rounds, %zu DPs, %zu -> %zu pairs (precision %.3f)\n",
                 report.rounds,
                 report.intentional_dps.size() + report.accidental_dps.size(),
                 report.live_pairs_before, report.live_pairs_after,
-                LivePairPrecision(truth, kb, scope));
+                LivePairPrecision(truth, kb, in->scope));
   }
-
-  std::string out = flags.Get("out", "taxonomy.tsv");
-  Status s = ExportTaxonomyTsv(kb, *world, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  return FinishRun(flags, kb, *world, corpus->sentences.size(),
-                   /*health=*/nullptr, out, checkpoint_dir);
+  return FinishRun(args, kb, *in, /*health=*/nullptr);
 }
 
 /// Streaming incremental extraction (src/stream/): replays the corpus as
 /// `--epochs` timestamped deltas through a StreamPipeline, publishing every
 /// epoch into `--publish-dir` for a live `serve --publish-dir` to hot-swap.
-int StreamCmd(const Flags& flags) {
-  ApplyThreadsFlag(flags);
-  LoadOptions load_options;
-  if (flags.Has("lenient")) load_options.mode = LoadOptions::Mode::kLenient;
-  LoadReport world_report;
-  auto world = LoadWorld(flags.Get("world", "world.tsv"), load_options, &world_report);
-  if (!world.ok()) {
-    std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
-    return 1;
-  }
-  ReportSkips("world", world_report);
-  LoadReport corpus_report;
-  auto corpus = LoadCorpus(*world, flags.Get("corpus", "corpus.tsv"), load_options,
-                           &corpus_report);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-  ReportSkips("corpus", corpus_report);
-
-  int epochs = static_cast<int>(flags.GetUint("epochs", 4));
-  if (epochs < 1) {
-    std::fprintf(stderr, "--epochs must be >= 1\n");
-    return 2;
-  }
+int StreamCmd(const Args& args) {
+  auto in = LoadInputs(args);
+  if (!in) return 1;
+  const int epochs = args.Int<int>("epochs");
   StreamOptions options;
-  options.extractor.max_iterations =
-      static_cast<int>(flags.GetUint("max-iterations", 12));
-  options.cleaner.max_rounds = static_cast<int>(flags.GetUint("max-rounds", 6));
-  options.full_rebuild_every =
-      static_cast<int>(flags.GetUint("full-rebuild-every", 0));
-  options.final_full_rebuild = !flags.Has("no-final-rebuild");
-  options.rebuild_dirty_frac = flags.GetDouble("rebuild-dirty-frac", 1.0);
-  options.publish_dir = flags.Get("publish-dir", "");
-  options.epoch_snapshot_dir = flags.Get("epoch-snapshots", "");
-  int sleep_ms = static_cast<int>(flags.GetUint("epoch-sleep-ms", 0));
+  options.extractor.max_iterations = args.Int<int>("max-iterations");
+  options.cleaner.max_rounds = args.Int<int>("max-rounds");
+  options.full_rebuild_every = args.Int<int>("full-rebuild-every");
+  options.final_full_rebuild = !args.Has("no-final-rebuild");
+  options.rebuild_dirty_frac = args.Real("rebuild-dirty-frac");
+  options.publish_dir = args.Str("publish-dir");
+  options.epoch_snapshot_dir = args.Str("epoch-snapshots");
+  const int sleep_ms = args.Int<int>("epoch-sleep-ms");
 
   for (const std::string& dir : {options.publish_dir, options.epoch_snapshot_dir}) {
     if (dir.empty()) continue;
@@ -641,14 +564,9 @@ int StreamCmd(const Flags& flags) {
     }
   }
 
-  GroundTruth truth(&*world);
-  std::vector<ConceptId> scope;
-  for (size_t ci = 0; ci < world->num_concepts(); ++ci) {
-    scope.push_back(ConceptId(static_cast<uint32_t>(ci)));
-  }
-
-  StreamPipeline pipeline(&*world, options);
-  const std::vector<Sentence>& all = corpus->sentences.sentences();
+  GroundTruth truth(&in->world);
+  StreamPipeline pipeline(&in->world, options);
+  const std::vector<Sentence>& all = in->corpus.sentences.sentences();
   size_t total = all.size();
   for (int k = 0; k < epochs; ++k) {
     size_t begin = total * static_cast<size_t>(k) / static_cast<size_t>(epochs);
@@ -683,14 +601,13 @@ int StreamCmd(const Flags& flags) {
   std::printf("stream done: %d epochs, %zu sentences, %zu live pairs "
               "(precision %.3f), generation %llu\n",
               epochs, pipeline.sentences().size(), pipeline.kb().num_live_pairs(),
-              LivePairPrecision(truth, pipeline.kb(), scope),
+              LivePairPrecision(truth, pipeline.kb(), in->scope),
               static_cast<unsigned long long>(pipeline.generation()));
-  return WriteObsArtifacts(flags);
+  return 0;
 }
 
-int Parse(const Flags& flags) {
-  ApplyThreadsFlag(flags);
-  auto world = LoadWorld(flags.Get("world", "world.tsv"));
+int Parse(const Args& args) {
+  auto world = LoadWorld(args.Str("world"));
   if (!world.ok()) {
     std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
     return 1;
@@ -719,91 +636,40 @@ int Parse(const Flags& flags) {
   return 0;
 }
 
-Result<SnapshotReader> OpenSnapshotOrDie(const std::string& path,
-                                         bool use_mmap = false) {
-  if (path.empty()) {
-    std::fprintf(stderr, "--snapshot is required\n");
-    std::exit(2);
-  }
+/// Opens --snapshot, zero-copy with deferred per-section CRCs under --mmap.
+Result<SnapshotReader> OpenSnapshot(const Args& args) {
   SnapshotOpenOptions options;
-  options.source = use_mmap ? SnapshotSource::kMmap : SnapshotSource::kRead;
-  return SnapshotReader::Open(path, options);
+  options.source = args.Has("mmap") ? SnapshotSource::kMmap : SnapshotSource::kRead;
+  return SnapshotReader::Open(args.Str("snapshot"), options);
 }
 
-/// The serve loop proper, shared by single-snapshot and hot-swap modes:
-/// stdin feeds the batcher, a printer thread emits responses in request
-/// order, and an optional stats thread snapshots to stderr.
-int ServeLoop(Batcher& batcher, const std::function<std::string()>& format_stats,
-              uint64_t stats_interval_ms) {
-  // Optional periodic stats snapshots on stderr (stdout stays pure protocol).
-  std::mutex stats_mu;
-  std::condition_variable stats_cv;
-  bool stats_stop = false;
-  std::thread stats_thread;
-  if (stats_interval_ms > 0) {
-    stats_thread = std::thread([&] {
-      std::unique_lock<std::mutex> lock(stats_mu);
-      while (!stats_cv.wait_for(lock, std::chrono::milliseconds(stats_interval_ms),
-                                [&] { return stats_stop; })) {
-        std::fprintf(stderr, "%s\n", format_stats().c_str());
-      }
-    });
-  }
+/// Sends one request line through the router and waits for its answer,
+/// which arrives before Submit returns when the router answers inline and
+/// from a pool thread when it queues (split mutex legs, admission control).
+std::string Ask(ShardRouter& router, std::string line, RequestPriority priority) {
+  std::promise<std::string> answer;
+  router.Submit(std::move(line), priority,
+                [&answer](std::string response) { answer.set_value(std::move(response)); });
+  return answer.get_future().get();
+}
 
-  // Reader/printer split: stdin keeps feeding the batcher while earlier
-  // requests execute (that concurrency is what makes batches form), and a
-  // printer thread emits responses strictly in request order.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::future<std::string>> pending;
-  bool input_done = false;
-  std::thread printer([&] {
-    for (;;) {
-      std::future<std::string> next;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return input_done || !pending.empty(); });
-        if (pending.empty()) return;
-        next = std::move(pending.front());
-        pending.pop_front();
-      }
-      std::string response = next.get();
-      std::fputs(response.c_str(), stdout);
-      std::fputc('\n', stdout);
-      std::fflush(stdout);
-    }
-  });
+/// The stdin front end: each line goes through the router and its answer is
+/// printed before the next line is read, so answers come back in request
+/// order with nothing to reorder.
+int ServeStdin(ShardRouter& router) {
+  std::fprintf(stderr, "serving on stdin; %u shards; ready\n", router.num_shards());
   std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line == "quit" || line == "exit") break;
+  while (std::getline(std::cin, line) && line != "quit" && line != "exit") {
     if (line.empty()) continue;
-    std::future<std::string> response = batcher.Submit(line);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      pending.push_back(std::move(response));
-    }
-    cv.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    input_done = true;
-  }
-  cv.notify_all();
-  printer.join();
-  if (stats_thread.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu);
-      stats_stop = true;
-    }
-    stats_cv.notify_all();
-    stats_thread.join();
+    std::printf("%s\n", Ask(router, line, RequestPriority::kNormal).c_str());
+    std::fflush(stdout);
   }
   return 0;
 }
 
 /// Signal-driven shutdown for `serve --listen`: the handler writes one byte
 /// into a self-pipe (the only async-signal-safe notification there is), and
-/// the main thread blocks on poll() until it arrives.
+/// the main thread blocks reading it.
 int g_shutdown_pipe[2] = {-1, -1};
 
 extern "C" void HandleShutdownSignal(int) {
@@ -812,10 +678,9 @@ extern "C" void HandleShutdownSignal(int) {
   [[maybe_unused]] ssize_t n = ::write(g_shutdown_pipe[1], &byte, 1);
 }
 
-/// Runs the network front-end until SIGINT/SIGTERM. Prints the resolved
+/// The socket front end: runs until SIGINT/SIGTERM. Prints the resolved
 /// endpoint to stderr (port 0 means "pick one", so scripts need the answer).
-int RunNetServer(ShardRouter& router, const std::string& listen,
-                 uint64_t stats_interval_ms) {
+int RunNetServer(ShardRouter& router, const std::string& listen) {
   NetServerOptions server_options;
   server_options.listen = listen;
   NetServer server(&router, server_options);
@@ -834,20 +699,8 @@ int RunNetServer(ShardRouter& router, const std::string& listen,
   ::sigaction(SIGTERM, &sa, nullptr);
   std::fprintf(stderr, "listening on %s; %u shards; ready\n",
                server.endpoint().c_str(), router.num_shards());
-
-  const int timeout_ms =
-      stats_interval_ms > 0 ? static_cast<int>(stats_interval_ms) : -1;
-  for (;;) {
-    pollfd pfd{g_shutdown_pipe[0], POLLIN, 0};
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n < 0 && errno == EINTR) continue;
-    if (n > 0) break;  // Signal arrived (or the pipe broke; either way: out).
-    // Timeout: periodic stats snapshot, answered through the router's own
-    // `stats` path so the line matches what a socket client would see.
-    std::promise<std::string> stats;
-    router.Submit("stats", RequestPriority::kHigh,
-                  [&stats](std::string r) { stats.set_value(std::move(r)); });
-    std::fprintf(stderr, "%s\n", stats.get_future().get().c_str());
+  char byte = 0;
+  while (::read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
   }
   server.Stop();
   ::close(g_shutdown_pipe[0]);
@@ -856,173 +709,97 @@ int RunNetServer(ShardRouter& router, const std::string& listen,
   return 0;
 }
 
-/// `serve --listen`: socket front-end over the sharded router instead of the
-/// stdin/stdout loop. Shares the snapshot/publish-dir/admission flags with
-/// the stdin mode; adds --shards (worker count) and --mmap (zero-copy
-/// snapshot load).
-int ServeNet(const Flags& flags) {
-  ApplyThreadsFlag(flags);
-  RouterOptions router_options;
-  router_options.num_shards =
-      static_cast<uint32_t>(flags.GetUint("shards", 1));
-  if (router_options.num_shards == 0) router_options.num_shards = 1;
-  router_options.engine.cache_capacity = flags.GetUint("cache", 4096);
-  router_options.engine.cache_shards = flags.GetUint("cache-shards", 16);
-  router_options.batch.max_batch = flags.GetUint("max-batch", 64);
-  router_options.batch.max_wait_ms =
-      static_cast<int>(flags.GetUint("max-wait-ms", 1));
-  router_options.batch.default_deadline_ms =
-      static_cast<int>(flags.GetUint("deadline-ms", 1000));
-  router_options.batch.deadline_budget_ms =
-      static_cast<int>(flags.GetUint("deadline-budget-ms", 0));
-  const uint64_t stats_interval_ms = flags.GetUint("stats-interval-ms", 0);
-  const std::string listen = flags.Get("listen", "");
+/// Runs the front end --listen picks (a socket, else stdin) over `router`.
+/// --stats-interval-ms > 0 prints the router's `stats` line to stderr every
+/// N milliseconds, in either mode (stdout stays pure protocol).
+int ServeRouter(ShardRouter& router, const Args& args) {
+  const std::chrono::milliseconds interval(args.Int<int>("stats-interval-ms"));
+  std::promise<void> stop;
+  std::thread ticker;
+  if (interval.count() > 0) {
+    ticker = std::thread([&router, interval, stopped = stop.get_future()] {
+      while (stopped.wait_for(interval) == std::future_status::timeout) {
+        std::fprintf(stderr, "%s\n",
+                     Ask(router, "stats", RequestPriority::kHigh).c_str());
+      }
+    });
+  }
+  const std::string listen = args.Str("listen");
+  const int rc = listen.empty() ? ServeStdin(router) : RunNetServer(router, listen);
+  stop.set_value();
+  if (ticker.joinable()) ticker.join();
+  return rc;
+}
+
+/// `serve`: one ShardRouter over --snapshot, or over a SnapshotManager
+/// watching --publish-dir, answers every request of either front end.
+int Serve(const Args& args) {
+  const std::string snapshot = args.Str("snapshot");
+  const std::string publish_dir = args.Str("publish-dir");
+  if (snapshot.empty() == publish_dir.empty()) {
+    std::fprintf(stderr, "serve takes exactly one of --snapshot, --publish-dir\n");
+    return 2;
+  }
+  // SnapshotManager always reads and CRC-checks whole files.
+  if (args.Has("mmap") && snapshot.empty()) {
+    std::fprintf(stderr, "--mmap requires --snapshot\n");
+    return 2;
+  }
   // A malformed address is a usage error (exit 2), same as any bad flag
   // value — not a runtime serving failure.
+  const std::string listen = args.Str("listen");
   ListenAddress parsed_listen;
   std::string listen_error;
-  if (!ParseListenAddress(listen, &parsed_listen, &listen_error)) {
+  if (!listen.empty() && !ParseListenAddress(listen, &parsed_listen, &listen_error)) {
     std::fprintf(stderr, "--listen: %s\n", listen_error.c_str());
     return 2;
   }
+  RouterOptions options;
+  options.num_shards = args.Int<uint32_t>("shards");
+  options.engine.cache_capacity = args.Int<size_t>("cache");
+  options.engine.cache_shards = args.Int<size_t>("cache-shards");
+  options.batch.max_batch = args.Int<size_t>("max-batch");
+  options.batch.max_wait_ms = args.Int<int>("max-wait-ms");
+  options.batch.default_deadline_ms = args.Int<int>("deadline-ms");
+  options.batch.deadline_budget_ms = args.Int<int>("deadline-budget-ms");
 
-  std::string publish_dir = flags.Get("publish-dir", "");
   if (!publish_dir.empty()) {
     SnapshotManagerOptions manager_options;
     manager_options.dir = publish_dir;
-    manager_options.engine = router_options.engine;
+    manager_options.engine = options.engine;
     SnapshotManager manager(manager_options);
     if (Status initial = manager.LoadInitial(); !initial.ok()) {
       std::fprintf(stderr, "%s\n", initial.ToString().c_str());
       return 1;
     }
-    ShardRouter router(&manager, router_options);
-    manager.StartWatching(flags.GetUint("poll-ms", 200));
-    const int rc = RunNetServer(router, listen, stats_interval_ms);
+    ShardRouter router(&manager, options);
+    manager.StartWatching(args.Int<int>("poll-ms"));
+    const int rc = ServeRouter(router, args);
     manager.StopWatching();
     return rc;
   }
-
-  auto reader = OpenSnapshotOrDie(flags.Get("snapshot", ""), flags.Has("mmap"));
+  auto reader = OpenSnapshot(args);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
   }
-  ShardRouter router(&*reader, router_options);
-  return RunNetServer(router, listen, stats_interval_ms);
-}
-
-int Serve(const Flags& flags) {
-  if (!flags.Get("listen", "").empty()) return ServeNet(flags);
-  ApplyThreadsFlag(flags);
-  QueryEngineOptions engine_options;
-  engine_options.cache_capacity = flags.GetUint("cache", 4096);
-  engine_options.cache_shards = flags.GetUint("cache-shards", 16);
-  BatcherOptions batch_options;
-  batch_options.max_batch = flags.GetUint("max-batch", 64);
-  batch_options.max_wait_ms = static_cast<int>(flags.GetUint("max-wait-ms", 1));
-  batch_options.default_deadline_ms =
-      static_cast<int>(flags.GetUint("deadline-ms", 1000));
-  batch_options.deadline_budget_ms =
-      static_cast<int>(flags.GetUint("deadline-budget-ms", 0));
-  uint64_t stats_interval_ms = flags.GetUint("stats-interval-ms", 0);
-
-  std::string publish_dir = flags.Get("publish-dir", "");
-  if (!publish_dir.empty()) {
-    // Hot-swap mode: a SnapshotManager watches the publish directory and
-    // flips generations atomically; the batcher pins one generation per
-    // batch. The manager is declared before the batcher so it outlives the
-    // batcher's shutdown drain (which still resolves pins).
-    SnapshotManagerOptions manager_options;
-    manager_options.dir = publish_dir;
-    manager_options.engine = engine_options;
-    SnapshotManager manager(manager_options);
-    Status initial = manager.LoadInitial();
-    if (!initial.ok()) {
-      std::fprintf(stderr, "%s\n", initial.ToString().c_str());
-      return 1;
-    }
-    Batcher batcher(EngineSource([&manager] { return manager.Pin(); }),
-                    batch_options);
-    uint64_t poll_ms = flags.GetUint("poll-ms", 200);
-    manager.StartWatching(poll_ms);
-    {
-      auto current = manager.Current();
-      std::fprintf(stderr,
-                   "serving generation %llu: %u concepts, %u instances, "
-                   "%llu pairs; watching %s; ready\n",
-                   static_cast<unsigned long long>(current->generation),
-                   current->reader.num_concepts(), current->reader.num_instances(),
-                   static_cast<unsigned long long>(current->reader.num_pairs()),
-                   publish_dir.c_str());
-    }
-    int rc = ServeLoop(
-        batcher,
-        [&manager] { return manager.Current()->engine->FormatStats(); },
-        stats_interval_ms);
-    manager.StopWatching();
-    return rc;
-  }
-
-  auto reader = OpenSnapshotOrDie(flags.Get("snapshot", ""), flags.Has("mmap"));
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
-    return 1;
-  }
-  QueryEngine engine(&*reader, engine_options);
-  Batcher batcher(&engine, batch_options);
-  std::fprintf(stderr, "serving %u concepts, %u instances, %llu pairs; ready\n",
-               reader->num_concepts(), reader->num_instances(),
-               static_cast<unsigned long long>(reader->num_pairs()));
-  return ServeLoop(batcher, [&engine] { return engine.FormatStats(); },
-                   stats_interval_ms);
+  ShardRouter router(&*reader, options);
+  return ServeRouter(router, args);
 }
 
 /// One-shot query. Positional arguments become protocol fields (joined with
 /// tabs), so a quoted multi-word name stays a single field. The exit code
 /// mirrors the response class so scripts can branch without parsing: 0 OK,
 /// 1 ERR, 3 NOT_FOUND, 4 OVERLOADED (reserved — one-shots never shed).
-int Query(int argc, char** argv) {
-  std::string snapshot_path;
-  std::string connect;
-  bool use_mmap = false;
-  std::string line;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--mmap") {
-      use_mmap = true;
-      continue;
-    }
-    if (arg == "--snapshot" || arg == "--connect" || arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return 2;
-      }
-      if (arg == "--snapshot") {
-        snapshot_path = argv[++i];
-      } else if (arg == "--connect") {
-        connect = argv[++i];
-      } else {
-        uint64_t threads = 0;
-        if (!ParseUint64(argv[++i], &threads)) {
-          std::fprintf(stderr, "invalid value for --threads: '%s'\n", argv[i]);
-          return 2;
-        }
-        SetGlobalThreadCount(static_cast<int>(threads));
-      }
-      continue;
-    }
-    if (StartsWith(arg, "--")) {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    }
-    if (!line.empty()) line += '\t';
-    line += arg;
+int Query(const Args& args) {
+  const std::string connect = args.Str("connect");
+  if (args.Str("snapshot").empty() == connect.empty()) {
+    std::fprintf(stderr, "query takes exactly one of --snapshot, --connect\n");
+    return 2;
   }
+  const std::string line = Join(args.positional(), "\t");
   if (line.empty()) {
-    std::fprintf(stderr,
-                 "usage: semdrift query --snapshot S | --connect EP "
-                 "<verb> <args...>\n");
+    std::fprintf(stderr, "query: empty request\n");
     return 2;
   }
   std::string response;
@@ -1041,7 +818,7 @@ int Query(int argc, char** argv) {
     }
     response = std::move(remote).value();
   } else {
-    auto reader = OpenSnapshotOrDie(snapshot_path, use_mmap);
+    auto reader = OpenSnapshot(args);
     if (!reader.ok()) {
       std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
       return 1;
@@ -1064,13 +841,9 @@ int Query(int argc, char** argv) {
 /// image is re-opened so Validate() runs on every generation the chain can
 /// produce. Non-zero exit on any corruption makes this usable as a deploy
 /// precondition.
-int SnapshotVerify(int argc, char** argv) {
-  if (argc < 3 || StartsWith(argv[2], "--")) {
-    std::fprintf(stderr,
-                 "usage: semdrift snapshot-verify <base> [delta...]\n");
-    return 2;
-  }
-  std::string path = argv[2];
+int SnapshotVerify(const Args& args) {
+  const std::vector<std::string>& files = args.positional();
+  const std::string& path = files[0];
   auto bytes = ReadFileToString(path);
   if (!bytes.ok()) {
     std::fprintf(stderr, "FAIL %s\n", bytes.status().ToString().c_str());
@@ -1087,7 +860,7 @@ int SnapshotVerify(int argc, char** argv) {
               static_cast<unsigned long long>(reader->num_pairs()),
               static_cast<unsigned long long>(reader->num_mutex_pairs()),
               static_cast<unsigned long long>(reader->file_bytes()));
-  if (argc == 3) return 0;
+  if (files.size() == 1) return 0;
 
   // Walk the chain. The first delta declares which generation the base is;
   // the CRC binding is what actually authenticates it.
@@ -1098,14 +871,14 @@ int SnapshotVerify(int argc, char** argv) {
   }
   uint32_t crc = Crc32Of(*bytes);
   uint64_t generation = 0;
-  for (int i = 3; i < argc; ++i) {
-    std::string delta_path = argv[i];
+  for (size_t i = 1; i < files.size(); ++i) {
+    const std::string& delta_path = files[i];
     auto delta = LoadSnapshotDelta(delta_path);
     if (!delta.ok()) {
       std::fprintf(stderr, "FAIL %s\n", delta.status().ToString().c_str());
       return 1;
     }
-    if (i == 3) generation = delta->base_generation;
+    if (i == 1) generation = delta->base_generation;
     auto image = MaterializeSnapshotDelta(*delta, *parts, generation, crc);
     if (!image.ok()) {
       std::fprintf(stderr, "FAIL %s\n", image.status().ToString().c_str());
@@ -1160,12 +933,11 @@ bool ReportAccounts(const LoadReport& report) {
   return report.lines_seen == report.lines_loaded + report.skipped.size();
 }
 
-int FuzzLoad(const Flags& flags) {
-  ApplyThreadsFlag(flags);
-  uint64_t seed = flags.GetUint("seed", 2014);
-  int count = static_cast<int>(flags.GetUint("count", 200));
-  double scale = flags.GetDouble("scale", 0.05);
-  std::string dir = flags.Get("dir", "");
+int FuzzLoad(const Args& args) {
+  uint64_t seed = args.Int("seed");
+  int count = args.Int<int>("count");
+  double scale = args.Real("scale");
+  std::string dir = args.Str("dir");
   if (dir.empty()) {
     dir = (std::filesystem::temp_directory_path() / "semdrift-fuzz").string();
   }
@@ -1383,14 +1155,9 @@ int FuzzLoad(const Flags& flags) {
 /// Replays checked-in scenarios against their recorded envelopes. One line
 /// per scenario; any violation fails the whole invocation (the ctest gate
 /// and check.sh --scenarios both run this over scenarios/*.toml).
-int ScenarioRun(const std::vector<std::string>& files, const Flags& flags) {
-  ApplyThreadsFlag(flags);
-  if (files.empty()) {
-    std::fprintf(stderr, "scenario-run: no scenario files given\n");
-    return 2;
-  }
+int ScenarioRun(const Args& args) {
   int failures = 0;
-  for (const std::string& path : files) {
+  for (const std::string& path : args.positional()) {
     auto scenario = scenario::LoadScenarioFile(path);
     if (!scenario.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
@@ -1403,7 +1170,7 @@ int ScenarioRun(const std::vector<std::string>& files, const Flags& flags) {
                    outcome.status().ToString().c_str());
       return 2;
     }
-    if (flags.Has("pin-envelope")) {
+    if (args.Has("pin-envelope")) {
       // Authoring aid: record the measured behavior as the file's replay
       // envelope (tight precision bands, cost ceilings) and rewrite it.
       scenario::PinEnvelope(&*scenario, outcome->metrics);
@@ -1421,7 +1188,7 @@ int ScenarioRun(const std::vector<std::string>& files, const Flags& flags) {
     std::printf("%-28s %s  %s\n", scenario->name.c_str(),
                 outcome->ok() ? "PASS" : "FAIL",
                 scenario::FormatMetricsLine(outcome->metrics).c_str());
-    if (flags.Has("verbose") && !scenario->notes.empty()) {
+    if (args.Has("verbose") && !scenario->notes.empty()) {
       std::printf("  notes: %s\n", scenario->notes.c_str());
     }
     for (const std::string& violation : outcome->violations) {
@@ -1432,18 +1199,17 @@ int ScenarioRun(const std::vector<std::string>& files, const Flags& flags) {
   return failures == 0 ? 0 : 1;
 }
 
-int ScenarioHunt(const Flags& flags) {
-  ApplyThreadsFlag(flags);
+int ScenarioHunt(const Args& args) {
   scenario::HuntOptions options;
-  options.seed = flags.GetUint("seed", 1);
-  options.num_samples = static_cast<int>(flags.GetUint("samples", 50));
-  options.archetype = flags.Get("archetype", "");
-  options.precision_floor = flags.GetDouble("floor", options.precision_floor);
-  options.regression_margin =
-      flags.GetDouble("margin", options.regression_margin);
-  options.shrink = !flags.Has("no-shrink");
-  options.shrink_options.max_evaluations = static_cast<size_t>(
-      flags.GetUint("max-shrink-evals", options.shrink_options.max_evaluations));
+  options.seed = args.Int("seed");
+  options.num_samples = args.Int<int>("samples");
+  options.archetype = args.Str("archetype");
+  if (args.Has("floor")) options.precision_floor = args.Real("floor");
+  if (args.Has("margin")) options.regression_margin = args.Real("margin");
+  options.shrink = !args.Has("no-shrink");
+  if (args.Has("max-shrink-evals")) {
+    options.shrink_options.max_evaluations = args.Int<size_t>("max-shrink-evals");
+  }
   options.log = [](const std::string& line) {
     std::fprintf(stderr, "%s\n", line.c_str());
   };
@@ -1454,7 +1220,7 @@ int ScenarioHunt(const Flags& flags) {
   }
   std::printf("hunted %zu samples, %zu findings\n", report->samples_run,
               report->findings.size());
-  const std::string out_dir = flags.Get("out-dir", "");
+  const std::string out_dir = args.Str("out-dir");
   for (const auto& finding : report->findings) {
     std::printf("%s: %s\n", finding.scenario.name.c_str(),
                 finding.summary.c_str());
@@ -1475,13 +1241,13 @@ int ScenarioHunt(const Flags& flags) {
 
 /// Prints (or saves) one grammar sample — the authoring starting point for
 /// hand-written scenarios, and the determinism probe for tests.
-int ScenarioSample(const Flags& flags) {
-  const uint64_t seed = flags.GetUint("seed", 1);
-  const std::string archetype = flags.Get("archetype", "");
+int ScenarioSample(const Args& args) {
+  const uint64_t seed = args.Int("seed");
+  const std::string archetype = args.Str("archetype");
   scenario::Scenario s = archetype.empty()
                              ? scenario::SampleScenario(seed)
                              : scenario::SampleScenario(seed, archetype);
-  const std::string out = flags.Get("out", "");
+  const std::string out = args.Str("out");
   if (out.empty()) {
     std::fputs(scenario::ScenarioToToml(s).c_str(), stdout);
     return 0;
@@ -1494,107 +1260,155 @@ int ScenarioSample(const Flags& flags) {
   return 0;
 }
 
+std::vector<FlagSpec> Concat(std::initializer_list<std::vector<FlagSpec>> groups) {
+  std::vector<FlagSpec> all;
+  for (const std::vector<FlagSpec>& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  return all;
+}
+
+// Flag groups shared by `run` and `stream`: what LoadInputs reads, and the
+// observability exports main() handles for every command that takes them.
+const std::vector<FlagSpec> kInputFlags = {
+    StrFlag("world", "W", "world.tsv"), StrFlag("corpus", "C", "corpus.tsv"),
+    BoolFlag("lenient")};
+const std::vector<FlagSpec> kObsFlags = {StrFlag("trace-out", "T.jsonl"),
+                                         StrFlag("trace-chrome", "T.json"),
+                                         StrFlag("metrics-out", "M.json")};
+
+const Command kCommands[] = {
+    {"generate", "",
+     {RealFlag("scale", "S", "0.25"), IntFlag("seed", "N", "2014", kU64Max),
+      StrFlag("world", "W", "world.tsv"), StrFlag("corpus", "C", "corpus.tsv")},
+     Generate},
+    {"run", "",
+     Concat({kInputFlags,
+             {StrFlag("out", "T.tsv", "taxonomy.tsv"), BoolFlag("no-clean"),
+              StrFlag("snapshot-out", "S"), StrFlag("snapshot-delta-out", "D"),
+              StrFlag("snapshot-delta-base", "S"),
+              IntFlag("snapshot-delta-base-gen", "N", "1", kU64Max),
+              StrFlag("checkpoint-dir", "D"), BoolFlag("resume"),
+              BoolFlag("validate"), IntFlag("keep-checkpoints", "N", "0"),
+              BoolFlag("supervise"), BoolFlag("health-report"),
+              IntFlag("stage-deadline-ms", "N", "30000"),
+              IntFlag("max-retries", "N", "2"),
+              StrFlag("quarantine", "on|off", "on"),
+              RealFlag("fault-rate", "R", "0"),
+              IntFlag("fault-seed", "N", "2014", kU64Max),
+              StrFlag("fault-kinds", "throw,stall,nan"),
+              StrFlag("fault-stages", "warm,collect,train,score")},
+             kObsFlags}),
+     Run},
+    {"stream", "",
+     Concat({kInputFlags,
+             {IntFlag("epochs", "N", "4", kIntMax, 1),
+              IntFlag("full-rebuild-every", "K", "0"), BoolFlag("no-final-rebuild"),
+              RealFlag("rebuild-dirty-frac", "F", "1.0"),
+              StrFlag("publish-dir", "D"), StrFlag("epoch-snapshots", "D2"),
+              IntFlag("max-iterations", "N", "12"), IntFlag("max-rounds", "N", "6"),
+              IntFlag("epoch-sleep-ms", "N", "0")},
+             kObsFlags}),
+     StreamCmd},
+    {"parse", "", {StrFlag("world", "W", "world.tsv")}, Parse, "sentences on stdin"},
+    {"serve", "",
+     {StrFlag("snapshot", "S"), BoolFlag("mmap"), StrFlag("publish-dir", "D"),
+      IntFlag("poll-ms", "N", "200"), StrFlag("listen", "tcp:host:port|unix:/path"),
+      IntFlag("shards", "N", "1", kU32Max), IntFlag("cache", "N", "4096", kU64Max),
+      IntFlag("cache-shards", "N", "16", kU64Max),
+      IntFlag("max-batch", "N", "64", kU64Max), IntFlag("max-wait-ms", "N", "1"),
+      IntFlag("deadline-ms", "N", "1000"), IntFlag("deadline-budget-ms", "N", "0"),
+      IntFlag("stats-interval-ms", "N", "0")},
+     Serve,
+     "exactly one of --snapshot, --publish-dir; --mmap only with --snapshot; "
+     "without --listen, lines come from stdin; --max-batch, --max-wait-ms and "
+     "--deadline-ms apply only to queued requests: split mutex legs, and all "
+     "requests when --deadline-budget-ms > 0"},
+    {"query", "<verb> <args...>",
+     {StrFlag("snapshot", "S"), BoolFlag("mmap"), StrFlag("connect", "EP")},
+     Query,
+     "exactly one of --snapshot, --connect; exit: 0 OK, 1 ERR, 2 usage, "
+     "3 NOT_FOUND, 4 OVERLOADED"},
+    {"snapshot-verify", "<base> [delta...]", {}, SnapshotVerify},
+    {"fuzz-load", "",
+     {IntFlag("count", "N", "200"), IntFlag("seed", "N", "2014", kU64Max),
+      RealFlag("scale", "S", "0.05"), StrFlag("dir", "D")},
+     FuzzLoad},
+    {"scenario-run", "<file.toml>...",
+     {BoolFlag("verbose"), BoolFlag("pin-envelope")},
+     ScenarioRun,
+     "exit: 0 all pass, 1 violations, 2 usage"},
+    {"scenario-hunt", "",
+     {IntFlag("seed", "N", "1", kU64Max), IntFlag("samples", "N", "50"),
+      StrFlag("archetype", "A"), RealFlag("floor", "F"), RealFlag("margin", "M"),
+      BoolFlag("no-shrink"), IntFlag("max-shrink-evals", "N", "", kU64Max),
+      StrFlag("out-dir", "D")},
+     ScenarioHunt},
+    {"scenario-sample", "",
+     {IntFlag("seed", "N", "1", kU64Max), StrFlag("archetype", "A"),
+      StrFlag("out", "F")},
+     ScenarioSample},
+};
+
+/// One flag as the usage shows it, with its default.
+std::string Synopsis(const FlagSpec& flag) {
+  std::string out = std::string("[--") + flag.name;
+  if (flag.kind != Kind::kBool) out += std::string(" ") + flag.metavar;
+  if (*flag.fallback != '\0') out += std::string("=") + flag.fallback;
+  return out + "]";
+}
+
+/// Prints the usage of `only` (of every command when null), generated from
+/// the table, and returns the usage exit code.
+int Usage(const Command* only) {
+  std::string out = "usage:\n";
+  for (const Command& cmd : kCommands) {
+    if (only != nullptr && only != &cmd) continue;
+    std::string line = std::string("  semdrift ") + cmd.name;
+    auto append = [&](const std::string& word) {
+      if (line.size() + 1 + word.size() > 79) {
+        out += line + "\n";
+        line = std::string(14, ' ');
+      }
+      line += " " + word;
+    };
+    if (*cmd.positional != '\0') append(cmd.positional);
+    for (const FlagSpec& flag : cmd.flags) append(Synopsis(flag));
+    if (*cmd.note != '\0') {
+      out += line + "\n";
+      line = std::string(14, ' ');
+      for (const std::string& word : Split(std::string("(") + cmd.note + ")", ' ')) {
+        append(word);
+      }
+    }
+    out += line + "\n";
+  }
+  out += "\nEvery subcommand accepts " + Synopsis(kThreadsFlag) +
+         " (0: SEMDRIFT_THREADS env var, then\nhardware concurrency). "
+         "Results are identical at any thread count.\n";
+  std::fputs(out.c_str(), stderr);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  std::string command = argv[1];
-  if (command == "generate") {
-    Flags flags(argc, argv, 2, {"scale", "seed", "world", "corpus", "threads"}, {});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return Generate(flags);
+  const Command* command = nullptr;
+  for (const Command& cmd : kCommands) {
+    if (argc > 1 && std::string_view(argv[1]) == cmd.name) command = &cmd;
   }
-  if (command == "run") {
-    Flags flags(argc, argv, 2,
-                {"world", "corpus", "out", "snapshot-out", "snapshot-delta-out",
-                 "snapshot-delta-base", "snapshot-delta-base-gen",
-                 "checkpoint-dir", "keep-checkpoints", "threads",
-                 "stage-deadline-ms", "max-retries", "quarantine", "fault-rate",
-                 "fault-seed", "fault-kinds", "fault-stages", "trace-out",
-                 "trace-chrome", "metrics-out"},
-                {"no-clean", "resume", "validate", "lenient", "supervise",
-                 "health-report"});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return Run(flags);
+  if (command == nullptr) return Usage(nullptr);
+  Args args(command);
+  if (std::string error = args.Parse(argc, argv); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return Usage(command);
   }
-  if (command == "stream") {
-    Flags flags(argc, argv, 2,
-                {"world", "corpus", "epochs", "full-rebuild-every",
-                 "rebuild-dirty-frac", "publish-dir", "epoch-snapshots",
-                 "max-iterations", "max-rounds", "epoch-sleep-ms", "threads",
-                 "trace-out", "trace-chrome", "metrics-out"},
-                {"lenient", "no-final-rebuild"});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return StreamCmd(flags);
+  SetGlobalThreadCount(args.Int<int>("threads"));
+  // Commands that take the observability flags record spans only when a
+  // trace export is asked for, and export after a successful run.
+  if (!args.Str("trace-out").empty() || !args.Str("trace-chrome").empty()) {
+    GlobalTrace().Enable(true);
   }
-  if (command == "parse") {
-    Flags flags(argc, argv, 2, {"world", "threads"}, {});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return Parse(flags);
-  }
-  if (command == "serve") {
-    Flags flags(argc, argv, 2,
-                {"snapshot", "publish-dir", "poll-ms", "cache", "cache-shards",
-                 "max-batch", "max-wait-ms", "deadline-ms", "deadline-budget-ms",
-                 "stats-interval-ms", "threads", "listen", "shards"},
-                {"mmap"});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return Serve(flags);
-  }
-  if (command == "query") return Query(argc, argv);
-  if (command == "snapshot-verify") return SnapshotVerify(argc, argv);
-  if (command == "scenario-run") {
-    std::vector<std::string> files;
-    int i = 2;
-    while (i < argc && !StartsWith(argv[i], "--")) files.push_back(argv[i++]);
-    Flags flags(argc, argv, i, {"threads"}, {"verbose", "pin-envelope"});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return ScenarioRun(files, flags);
-  }
-  if (command == "scenario-hunt") {
-    Flags flags(argc, argv, 2,
-                {"seed", "samples", "archetype", "floor", "margin",
-                 "max-shrink-evals", "out-dir", "threads"},
-                {"no-shrink"});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return ScenarioHunt(flags);
-  }
-  if (command == "scenario-sample") {
-    Flags flags(argc, argv, 2, {"seed", "archetype", "out", "threads"}, {});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return ScenarioSample(flags);
-  }
-  if (command == "fuzz-load") {
-    Flags flags(argc, argv, 2, {"count", "seed", "scale", "dir", "threads"}, {});
-    if (!flags.ok()) {
-      std::fprintf(stderr, "%s\n", flags.error().c_str());
-      return Usage();
-    }
-    return FuzzLoad(flags);
-  }
-  return Usage();
+  const int rc = command->run(args);
+  return rc == 0 ? WriteObsArtifacts(args) : rc;
 }
